@@ -15,11 +15,14 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from decimal import Decimal
 from fractions import Fraction
 
 from . import exact, experiments, graphs
 from .errors import ParameterError, ResourceLimitError
-from .experiments import RegimeSpec, is_prime, next_prime, realized_p, run_sweep
+from .experiments import (RegimeSpec, is_prime, next_prime, realized_p, run_sweep,
+                          usable_cpus)
 
 EXIT_OK = 0
 EXIT_PARAMETER = 1
@@ -46,18 +49,28 @@ def _default_seed() -> int:
     return int(os.environ.get("MODSETLAB_SEED", "0"))
 
 
+def _digits(x: int) -> str:
+    """All decimal digits of x.
+
+    str(int) refuses more than sys.get_int_max_str_digits() digits, a guard
+    that also protects int(str) parsing of input, so it stays in place;
+    Decimal is exempt from it.
+    """
+    return str(Decimal(x))
+
+
 def _rational_json(name: str, value: Fraction, params: dict) -> dict:
     return {
         "formula": name,
         "params": params,
-        "numerator": str(value.numerator),
-        "denominator": str(value.denominator),
+        "numerator": _digits(value.numerator),
+        "denominator": _digits(value.denominator),
         "value": float(value),
     }
 
 
 def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def build_parser() -> _Parser:
@@ -75,7 +88,8 @@ def build_parser() -> _Parser:
         sp.add_argument("--trials", type=int, default=100)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: available parallelism)")
+                        help="worker processes, at most the usable CPUs "
+                             "(default: the usable CPUs)")
         sp.add_argument("--kmax", type=int, nargs="?", const=5, default=0,
                         help="collect x_k/y_k up to this k (bare flag: 5; absent: off)")
         sp.add_argument("--require-prime", action="store_true",
@@ -131,7 +145,11 @@ def _load_config_argv(argv: list[str]) -> list[str]:
         raise ParameterError("--config needs a path")
     path = argv[at + 1]
     extra: list[str] = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as e:
+        raise ParameterError(f"cannot read config file {path!r}: {e}") from e
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -158,7 +176,7 @@ def _load_config_argv(argv: list[str]) -> list[str]:
 
 def _build_regime_spec(args, n_values: list[int]) -> tuple[RegimeSpec, dict]:
     seed = args.seed if args.seed is not None else _default_seed()
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else usable_cpus()
     if args.require_prime:
         n_values = [next_prime(n) for n in n_values]
     regime = args.regime
@@ -414,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as e:
         print(f"assertion failed: {e}", file=sys.stderr)
         return EXIT_ASSERTION
+    except (BrokenProcessPool, OSError, MemoryError) as e:
+        print(f"resource limit: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,8 @@ __all__ = [
     "realized_p",
     "run_trial",
     "run_sweep",
+    "usable_cpus",
+    "pool_size",
     "convergence_report",
     "write_trials_csv",
     "report_as_dict",
@@ -297,26 +300,44 @@ class SweepResult:
     aggregates: list[SweepAggregate]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def pool_size(workers: int, trials: int, cpus: int) -> int:
+    """Worker processes for a sweep: at most the requested count, the trials
+    per modulus and the usable CPUs, and at least one."""
+    return max(1, min(workers, trials, cpus))
+
+
 def run_sweep(spec: RegimeSpec) -> SweepResult:
     """Run trials x n_values; records come back sorted by (n, trial_index).
 
     Identical output for any worker count: per-trial streams depend only on
-    (base_seed, trial_index), and aggregates are exact sums.
+    (base_seed, trial_index), and aggregates are exact sums.  With more than
+    one worker, the chunks of every modulus go to one process pool, so a
+    worker that finishes early takes up the next modulus.
     """
+    workers = pool_size(spec.workers, spec.trials, usable_cpus())
+    step = -(-spec.trials // workers)
+    starts = range(0, spec.trials, step)
+    ps = [realized_p(spec, n) for n in spec.n_values]
+    chunks = [(n, p, spec.base_seed, s, min(s + step, spec.trials), spec.k_max)
+              for n, p in zip(spec.n_values, ps) for s in starts]
+    if workers == 1:
+        parts = list(map(_run_chunk, chunks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_chunk, chunks))
     records: list[TrialRecord] = []
     aggregates: list[SweepAggregate] = []
-    workers = min(spec.workers, spec.trials)
-    for n in spec.n_values:
-        p = realized_p(spec, n)
-        if workers == 1:
-            recs = _run_chunk((n, p, spec.base_seed, 0, spec.trials, spec.k_max))
-        else:
-            step = -(-spec.trials // workers)
-            chunks = [(n, p, spec.base_seed, s, min(s + step, spec.trials), spec.k_max)
-                      for s in range(0, spec.trials, step)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                recs = [r for part in pool.map(_run_chunk, chunks) for r in part]
-        recs.sort(key=lambda r: r.trial_index)
+    k = len(starts)
+    for i, (n, p) in enumerate(zip(spec.n_values, ps)):
+        recs = [r for part in parts[i * k:(i + 1) * k] for r in part]
         records.extend(recs)
         aggregates.append(_aggregate(n, p, recs))
     records.sort(key=lambda r: (r.n, r.trial_index))

@@ -8,6 +8,19 @@ Conventions (pinned so the alternating inclusion-exclusion identity is exact):
   and the multiplicity of residue 0 is exactly |A|.
 
 x_k / y_k count k-sets of such pairs sharing one common sum / difference.
+
+The profile has two backends, picked from |A| and n alone: an exact pair
+bincount (cost ~|A|^2) for sparse sets, and a real FFT convolution and
+correlation zero-padded to a power of two L >= 2n (cost ~L log L) for dense
+ones.  Every FFT result checks its own exactness (rounding error below 1/4,
+the count totals, the |A| diagonal differences) and falls back to the
+bincount if any check fails, so both backends return identical profiles.
+
+The alternating inclusion-exclusion series sum_k (-1)^(k+1) X_k collapses
+per residue to 1 - (1 - 1)^m = [m >= 1], so inclusion_exclusion_size counts
+the residues of nonzero multiplicity.  The Monte Carlo spot check compares
+it with |A+A| / |A-A| from `sets`; for dense sets that sets the FFT against
+the bit-rotation kernel, two algorithms that share no code.
 """
 
 from __future__ import annotations
@@ -15,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .errors import ParameterError
 from .sets import ResidueSet, _SPARSE_BLOCK
+
+_FFT_CROSSOVER = 4  # FFT backend once 4 |A|^2 > L log2 L; see _use_fft
 
 __all__ = [
     "MultiplicityProfile",
@@ -46,9 +60,25 @@ class MultiplicityProfile:
     m_diff: np.ndarray
 
 
-def multiplicity_profile(A: ResidueSet) -> MultiplicityProfile:
-    n = A.n
-    idx = A.indices()
+def _fft_length(n: int) -> int:
+    """Smallest power of two >= 2n: room for every a+b and a-b without wrap-around."""
+    return 1 << (2 * n - 1).bit_length()
+
+
+def _use_fft(c: int, n: int) -> bool:
+    """Pick the FFT backend for |A| = c in Z/nZ.
+
+    The pair bincount costs ~|A|^2 and the padded FFT ~L log2 L; measured
+    with numpy 2.4 on a 2-vCPU Xeon VM for n from 2e3 to 1e6, they break even near
+    |A|^2 = L log2 L / 4, so sparse critical-density sets (|A| ~ sqrt(n))
+    stay on the bincount and dense ones (|A| ~ n p) go to the FFT.
+    """
+    L = _fft_length(n)
+    return _FFT_CROSSOVER * c * c > L * (L.bit_length() - 1)
+
+
+def _pair_counts_sparse(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ordered sum counts, ordered difference counts) by an exact pair bincount."""
     m_diff = np.zeros(n, dtype=np.int64)
     ordered_sum = np.zeros(n, dtype=np.int64)
     c = idx.size
@@ -62,6 +92,56 @@ def multiplicity_profile(A: ResidueSet) -> MultiplicityProfile:
             t = chunk - idx[None, :]
             t[t < 0] += n
             m_diff += np.bincount(t.ravel(), minlength=n)
+    return ordered_sum, m_diff
+
+
+def _pair_counts_fft(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The same counts as _pair_counts_sparse, by a zero-padded real FFT.
+
+    The indicator of A, padded to L >= 2n, gives the linear autoconvolution
+    (sum a+b at index a+b < 2n) and autocorrelation (difference a-b at index
+    a-b mod L); folding both mod n gives the cyclic counts.  The float result
+    is accepted only if it passes its own exactness check: every entry within
+    1/4 of an integer, both count vectors summing to |A|^2, and difference 0
+    counted exactly |A| times.  Otherwise the exact bincount recomputes it.
+    """
+    c = idx.size
+    L = _fft_length(n)
+    ind = np.zeros(L)
+    ind[idx] = 1.0
+    F = np.fft.rfft(ind)
+    del ind  # one transform at a time keeps the peak near 45 bytes per L
+    conv, conv_exact = _rounded(np.fft.irfft(F * F, L))
+    corr, corr_exact = _rounded(np.fft.irfft(F * F.conj(), L))
+    ordered_sum = conv[:n] + conv[n:2 * n]
+    m_diff = corr[:n] + corr[L - n:]
+    if (conv_exact and corr_exact and int(ordered_sum.sum()) == c * c
+            and int(m_diff.sum()) == c * c and m_diff[0] == c):
+        return ordered_sum, m_diff
+    return _pair_counts_sparse(n, idx)
+
+
+def _rounded(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """x rounded to int64, and whether every entry was within 1/4 of an integer.
+
+    Overwrites x.
+    """
+    counts = np.rint(x)
+    x -= counts
+    exact = bool(np.abs(x, out=x).max() < 0.25)
+    return counts.astype(np.int64), exact
+
+
+def multiplicity_profile(A: ResidueSet) -> MultiplicityProfile:
+    """Sum and difference multiplicities of every residue.
+
+    Small sets use the exact pair bincount; large ones the padded FFT, whose
+    every result is checked for exactness (see _pair_counts_fft).
+    """
+    n = A.n
+    idx = A.indices()
+    pair_counts = _pair_counts_fft if _use_fft(idx.size, n) else _pair_counts_sparse
+    ordered_sum, m_diff = pair_counts(n, idx)
     # unordered pairs: every {a,b} with a != b was counted twice, {a,a} once
     diag = np.bincount((2 * idx) % n, minlength=n).astype(np.int64)
     m_sum = (ordered_sum + diag) // 2
@@ -87,23 +167,14 @@ def y_k(profile: MultiplicityProfile, k: int) -> int:
     return _k_sets_with_common_value(profile.m_diff, k)
 
 
-@lru_cache(maxsize=None)
-def _alternating_pair_sum(v: int) -> int:
-    """sum_{k=1..v} (-1)^(k+1) C(v, k), evaluated term by term."""
-    total = 0
-    binom = 1
-    for k in range(1, v + 1):
-        binom = binom * (v - k + 1) // k
-        total += binom if k % 2 else -binom
-    return total
-
-
 def inclusion_exclusion_size(profile: MultiplicityProfile, side: str) -> int:
-    """Alternating series sum_{k>=1} (-1)^(k+1) X_k (or Y_k).
+    """Alternating series sum_{k>=1} (-1)^(k+1) X_k (or Y_k), in closed form.
 
-    The series terminates at the maximum multiplicity (all later terms are
-    empty counts) and equals |A+A| (resp. |A-A|) exactly.  Terms are grouped
-    by residue multiplicity so large profiles stay cheap.
+    Grouped by residue, the series is sum_r sum_{k>=1} (-1)^(k+1) C(m_r, k),
+    and the inner sum is 1 for m_r >= 1 and 0 for m_r = 0.  So the series
+    equals the number of residues with nonzero multiplicity, which is
+    |A+A| (resp. |A-A|) exactly.  The term-by-term series is kept in the
+    tests as the reference.
     """
     if side == "sum":
         mult = profile.m_sum
@@ -111,9 +182,7 @@ def inclusion_exclusion_size(profile: MultiplicityProfile, side: str) -> int:
         mult = profile.m_diff
     else:
         raise ParameterError(f"side must be 'sum' or 'difference', got {side!r}")
-    hist = np.bincount(mult)
-    return sum(int(cnt) * _alternating_pair_sum(v)
-               for v, cnt in enumerate(hist.tolist()) if cnt and v >= 1)
+    return int(np.count_nonzero(mult))
 
 
 def xi_counts(n: int, k: int) -> tuple[int, int]:

@@ -4,7 +4,13 @@ A subset is stored as an immutable bit mask over the residues 0..n-1.
 Sumsets and difference sets are computed either by a dense kernel
 (cyclic bit rotations OR-ed together, cost ~ |A| * n / wordsize) or by a
 sparse kernel (vectorized pair enumeration, cost ~ |A|^2); ``kernel="auto"``
-picks by a size threshold and both kernels produce identical masks.
+picks by a size threshold and both kernels produce identical masks.  The
+dense kernel stops as soon as the accumulated mask is all of Z/nZ, so a
+dense random set costs only the few dozen rotations that fill it.
+
+These kernels stay separate from `multiplicity.multiplicity_profile` (pair
+bincount or FFT) on purpose: the Monte Carlo spot check compares the two, and
+it is a check only while they share no algorithm.
 
 Sampling is deterministic: the random stream of trial t is derived only
 from (base_seed, t), so trials can run in any order, on any number of
@@ -180,10 +186,11 @@ def _rotl(mask: int, s: int, n: int, full: int) -> int:
 
 
 def _sumset_mask_dense(n: int, mask: int) -> int:
+    # an OR cannot grow past full, so stop once acc saturates
     full = (1 << n) - 1
     acc = 0
     m = mask
-    while m:
+    while m and acc != full:
         lsb = m & -m
         acc |= _rotl(mask, lsb.bit_length() - 1, n, full)
         m ^= lsb
@@ -195,7 +202,7 @@ def _difference_mask_dense(n: int, mask: int, neg_mask: int) -> int:
     full = (1 << n) - 1
     acc = 0
     m = mask
-    while m:
+    while m and acc != full:
         lsb = m & -m
         acc |= _rotl(neg_mask, lsb.bit_length() - 1, n, full)
         m ^= lsb

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: outputs, determinism, config file, exit codes."""
 
 import json
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -87,6 +90,14 @@ class TestExact:
         data = self.get_json(capsys, "exact", "targets", "--regime", "critical",
                              "--n", "10007", "--c", "1")
         assert data["ratio_target"] == pytest.approx(1.6065306597)
+
+    def test_rational_beyond_the_int_str_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        data = self.get_json(capsys, "exact", "F", "--n", "2000", "--p", "0.123")
+        assert sys.get_int_max_str_digits() == limit
+        assert len(data["numerator"]) > limit
+        value = Fraction(int(Decimal(data["numerator"])), int(Decimal(data["denominator"])))
+        assert value == exact.f_series(2000, Fraction(123, 1000))
 
     def test_missing_param(self, capsys):
         code, _, err = run_cli(capsys, "exact", "F", "--n", "10")
@@ -194,3 +205,20 @@ class TestSweepCommand:
         report = json.loads(out)
         assert report["config"]["trials"] == 2      # flag wins
         assert report["config"]["n_values"] == [31]  # from config file
+
+    def test_unreadable_config_is_a_parameter_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "absent.cfg"))
+        assert code == 1
+        assert "cannot read config file" in err
+
+    @pytest.mark.parametrize("error", [BrokenProcessPool("a worker died"),
+                                       OSError(24, "Too many open files"),
+                                       MemoryError()])
+    def test_pool_and_memory_failures_exit_3(self, capsys, monkeypatch, error):
+        def failing_sweep(spec):
+            raise error
+
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        code, _, err = run_cli(capsys, "sweep", "--p", "1/2", "--n", "31", "--trials", "2")
+        assert code == 3
+        assert err.startswith("resource limit: " + type(error).__name__)

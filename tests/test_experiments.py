@@ -1,5 +1,6 @@
 """Sweep determinism, aggregation, primality plumbing, and reports."""
 
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from modsetlab import (
     run_trial,
     write_trials_csv,
 )
-from modsetlab.experiments import report_as_dict
+from modsetlab import experiments, multiplicity
+from modsetlab.experiments import pool_size, report_as_dict, usable_cpus
 
 
 class TestPrimes:
@@ -79,6 +81,21 @@ class TestTrials:
     def test_spot_check_passes(self):
         run_trial(101, Fraction(1, 3), base_seed=5, trial_index=0, spot_check=True)
 
+    def test_dense_spot_check_on_the_fft_backend(self):
+        rec = run_trial(2003, Fraction(1, 2), base_seed=5, trial_index=0, spot_check=True)
+        assert multiplicity._use_fft(rec.card, 2003)
+        assert rec.S == rec.D == 2003
+
+    def test_dense_spot_check_catches_a_corrupted_profile(self, monkeypatch):
+        def corrupted(A):
+            prof = multiplicity.multiplicity_profile(A)
+            prof.m_diff[1] = 0
+            return prof
+
+        monkeypatch.setattr(experiments, "multiplicity_profile", corrupted)
+        with pytest.raises(AssertionError, match="differences"):
+            run_trial(2003, Fraction(1, 2), base_seed=5, trial_index=0, spot_check=True)
+
 
 class TestSweep:
     def spec(self, workers=1, trials=30):
@@ -101,6 +118,22 @@ class TestSweep:
         write_trials_csv(serial.records, buf_a, {"w": 1})
         write_trials_csv(parallel.records, buf_b, {"w": 1})
         assert buf_a.getvalue() == buf_b.getvalue()
+
+    def test_one_pool_for_uneven_chunks_of_many_moduli(self):
+        spec = RegimeSpec(regime="fixed", n_values=(61, 101, 61), trials=7, base_seed=3,
+                          p_fixed=Fraction(1, 2), workers=2)
+        serial = run_sweep(dataclasses.replace(spec, workers=1))
+        parallel = run_sweep(spec)
+        assert serial.records == parallel.records
+        assert serial.aggregates == parallel.aggregates
+        assert [a.n for a in parallel.aggregates] == [61, 101, 61]
+
+    def test_pool_size_clamp(self):
+        assert pool_size(5000, 5000, 2) == 2      # never more than the usable CPUs
+        assert pool_size(8, 3, 16) == 3           # nor than the trials per modulus
+        assert pool_size(2, 100, 4) == 2
+        assert pool_size(4, 100, 0) == 1          # at least one
+        assert usable_cpus() >= 1
 
     def test_record_count_and_order(self):
         res = run_sweep(self.spec())

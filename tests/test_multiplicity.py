@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
+from modsetlab import multiplicity
 from modsetlab import (
     ParameterError,
     ResidueSet,
@@ -50,6 +52,66 @@ class TestProfile:
             assert prof.m_sum.sum() == c * (c + 1) // 2
             assert prof.m_diff.sum() == c * c
             assert prof.m_diff[0] == c
+
+
+class TestBackends:
+    """The FFT backend against the exact pair bincount it falls back to."""
+
+    @staticmethod
+    def assert_backends_agree(n, members):
+        idx = np.asarray(sorted(members), dtype=np.int64)
+        fft_sum, fft_diff = multiplicity._pair_counts_fft(n, idx)
+        ref_sum, ref_diff = multiplicity._pair_counts_sparse(n, idx)
+        assert fft_sum.dtype == ref_sum.dtype and fft_diff.dtype == ref_diff.dtype
+        assert np.array_equal(fft_sum, ref_sum)
+        assert np.array_equal(fft_diff, ref_diff)
+
+    def test_every_small_modulus(self):
+        rng = random.Random(17)
+        for n in range(1, 65):
+            self.assert_backends_agree(n, [])
+            self.assert_backends_agree(n, range(n))
+            for density in (0.1, 0.5, 0.9):
+                self.assert_backends_agree(n, [r for r in range(n) if rng.random() < density])
+
+    @pytest.mark.parametrize("n", [4096, 4998, 4999, 4913, 2 * 3 * 5 * 7 * 11])
+    def test_larger_even_composite_and_prime(self, n):
+        rng = random.Random(n)
+        self.assert_backends_agree(n, [])
+        self.assert_backends_agree(n, range(n))
+        for density in (0.01, 0.5):
+            self.assert_backends_agree(n, [r for r in range(n) if rng.random() < density])
+
+    @pytest.mark.parametrize("noise", ["rounding", "whole count"])
+    def test_inexact_fft_falls_back_to_exact_counts(self, monkeypatch, noise):
+        n = 257
+        idx = np.arange(0, n, 2, dtype=np.int64)
+        expected = multiplicity._pair_counts_sparse(n, idx)
+        irfft = np.fft.irfft
+
+        def noisy_irfft(*args, **kwargs):
+            x = irfft(*args, **kwargs)
+            # 0.3 fails the distance-to-integer check; a whole 1.0 passes it
+            # and fails the count totals
+            x[3] += 0.3 if noise == "rounding" else 1.0
+            return x
+
+        fallbacks = []
+        sparse = multiplicity._pair_counts_sparse
+        monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
+        monkeypatch.setattr(multiplicity, "_pair_counts_sparse",
+                            lambda *a: fallbacks.append(a) or sparse(*a))
+        got = multiplicity._pair_counts_fft(n, idx)
+        assert len(fallbacks) == 1
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+    def test_backend_choice_follows_set_size(self):
+        # critical density |A| ~ c sqrt(n), c <= 3, stays on the bincount from
+        # n = 1e4 up; p = 1/2 goes to the FFT
+        for n in (10007, 100003, 1000003):
+            assert not multiplicity._use_fft(int(3 * n ** 0.5), n)
+            assert multiplicity._use_fft(n // 2, n)
+        assert not multiplicity._use_fft(0, 1)
 
 
 class TestXkYk:

@@ -160,3 +160,23 @@ class TestKernels:
         # difference set closed under negation; 0 present iff A nonempty
         assert D == D.negated()
         assert (0 in D) == (c > 0)
+
+    @pytest.mark.parametrize("n,members", [
+        (64, range(0, 64, 2)),                     # even residues of even n
+        (1000, range(0, 1000, 2)),
+        (1000, [r for r in range(0, 1000, 2) if r % 6]),
+        (60, range(2, 60, 5)),                     # coset 2 + <5>
+        (462, range(7, 462, 21)),                  # coset 7 + <21>
+        (97, []),
+        (97, [3]),
+    ])
+    def test_dense_kernel_on_non_saturating_sets(self, n, members):
+        # A+A and A-A stay inside a proper subgroup (or its coset), so the
+        # dense kernel's accumulator never fills and it ORs every rotation
+        members = list(members)
+        A = ResidueSet.from_indices(n, members)
+        S = sumset(A, "dense")
+        D = difference_set(A, "dense")
+        assert set(S) == brute_sumset(n, members) and S.cardinality < n
+        assert set(D) == brute_diffset(n, members) and D.cardinality < n
+        assert S == sumset(A, "sparse") and D == difference_set(A, "sparse")
