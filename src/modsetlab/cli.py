@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+import decimal
 from decimal import Decimal
 from fractions import Fraction
 
@@ -49,14 +50,36 @@ def _default_seed() -> int:
     return int(os.environ.get("MODSETLAB_SEED", "0"))
 
 
+_DIGITS_LEAF_BITS = 1 << 12  # below this, Decimal(int) is faster than splitting
+
+
 def _digits(x: int) -> str:
     """All decimal digits of x.
 
     str(int) refuses more than sys.get_int_max_str_digits() digits, a guard
     that also protects int(str) parsing of input, so it stays in place;
-    Decimal is exempt from it.
+    Decimal is exempt from it.  Decimal(int) is quadratic in the length,
+    so long x is split in halves at powers of two and rebuilt with exact
+    Decimal multiplications, which libmpdec does in subquadratic time.
     """
-    return str(Decimal(x))
+    if x < 0:
+        return "-" + _digits(-x)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        pow2: list[Decimal] = []  # pow2[j] = 2^(LEAF 2^j), each the square of the last
+        while x >> (_DIGITS_LEAF_BITS << len(pow2)):
+            pow2.append(pow2[-1] * pow2[-1] if pow2 else Decimal(1 << _DIGITS_LEAF_BITS))
+        return str(_to_decimal(x, pow2, len(pow2)))
+
+
+def _to_decimal(x: int, pow2: list[Decimal], j: int) -> Decimal:
+    """Decimal(x) for 0 <= x < 2^(LEAF 2^j), in an exact context."""
+    if j == 0:
+        return Decimal(x)
+    h = _DIGITS_LEAF_BITS << (j - 1)
+    hi = x >> h
+    return _to_decimal(hi, pow2, j - 1) * pow2[j - 1] + _to_decimal(x - (hi << h), pow2, j - 1)
 
 
 def _rational_json(name: str, value: Fraction, params: dict) -> dict:

@@ -3,14 +3,12 @@
 Everything here is arbitrary-precision: probabilities are Fractions and the
 combinatorial counts are Python integers.  Floating point appears only in the
 log-domain gauge functions and in the regime targets, where the quantities are
-compared against Monte Carlo output.
+compared against Monte Carlo output.  binomial(a, b) = 0 whenever b < 0,
+b > a, or a < 0, which makes every series below total without case splits.
 
-Two conventions used throughout:
-
-* binomial(a, b) = 0 whenever b < 0, b > a, or a < 0, which makes every
-  series below total without case splits;
-* series over subset sizes run until their binomial coefficients vanish,
-  so no admissible subset is ever dropped.
+The series F(n), P(k not in A-A) (cycles) and P(i, j not in A+A) (a path)
+are independent-set polynomials: each is one value of the Lucas sequence
+`_lucas_u`, divided by b^n once at the end (`_over_power`, gcd-free for dyadic p).
 """
 
 from __future__ import annotations
@@ -83,50 +81,63 @@ def lucas(n: int) -> int:
     """Lucas number L_n (L_0 = 2, L_1 = 1, L_n = L_{n-1} + L_{n-2})."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    a, b = 2, 1
-    if n == 0:
-        return a
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return b
+    u, u1 = _lucas_u(1, -1, n)
+    return 2 * u1 - u
 
 
-def _mat_pow_2x2(t: int, u: int, e: int) -> tuple[int, int, int, int]:
-    """[[t, u], [1, 0]] ** e by binary exponentiation, exact integers."""
-    r00, r01, r10, r11 = 1, 0, 0, 1
-    b00, b01, b10, b11 = t, u, 1, 0
-    while e:
-        if e & 1:
-            r00, r01, r10, r11 = (r00 * b00 + r01 * b10, r00 * b01 + r01 * b11,
-                                  r10 * b00 + r11 * b10, r10 * b01 + r11 * b11)
-        e >>= 1
-        if e:
-            b00, b01, b10, b11 = (b00 * b00 + b01 * b10, b00 * b01 + b01 * b11,
-                                  b10 * b00 + b11 * b10, b10 * b01 + b11 * b11)
-    return r00, r01, r10, r11
+def _lucas_u(P: int, Q: int, n: int) -> tuple[int, int]:
+    """(U_n, U_{n+1}) of U_0 = 0, U_1 = 1, U_{k+1} = P U_k - Q U_{k-1}.
+
+    Doubling from the top bit of n down, with U_{2k} = U_k (2 U_{k+1} - P U_k)
+    and U_{2k+1} = U_{k+1}^2 - Q U_k^2: three big multiplications per bit.
+
+    For p = a/b, d = b - a, P = d and Q = -a d (the transfer matrix
+    [[d, a], [d, 0]], weight a per vertex in A and d per vertex outside):
+    b^m F(m) = U_{m+1}; b^m P(independent on the m-cycle) = V_m =
+    2 U_{m+1} - d U_m, the trace of the m-th power; and b^m P(independent on
+    the m-vertex path) = U_{m+1} + a U_m.
+    """
+    u, u1 = 0, 1
+    for bit in bin(n)[2:]:
+        u, u1 = u * (2 * u1 - P * u), u1 * u1 - Q * u * u
+        if bit == "1":
+            u, u1 = u1, P * u1 - Q * u
+    return u, u1
+
+
+# Fraction(num, den) for coprime num, den > 0, skipping the gcd (Python >= 3.12, <= 3.11)
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
+    lambda num, den: Fraction(num, den, _normalize=False))
+
+
+def _over_power(num: int, b: int, n: int) -> Fraction:
+    """num / b^n, reduced.  For b a power of two (p on the sampler's 2^-64
+    grid) that only strips common factors of two: no gcd with b^n."""
+    if b & (b - 1) or num == 0:
+        return Fraction(num, b ** n)
+    e = (b.bit_length() - 1) * n  # b^n = 2^e
+    shift = min((num & -num).bit_length() - 1, e)
+    return _coprime_fraction(num >> shift, 1 << (e - shift))
+
+
+def _lucas_at(p, m: int) -> tuple[int, int, int, int, int]:
+    """(a, b, d, U_m, U_{m+1}) for p = a/b in lowest terms, P = d = b - a, Q = -a d."""
+    p = _as_probability(p)
+    a, b = p.numerator, p.denominator
+    return (a, b, b - a, *_lucas_u(b - a, -a * (b - a), m))
 
 
 def f_series(n: int, p) -> Fraction:
     """The tail series F(n) = sum_{r=0}^{floor(n/2)} C(n-r, r) p^r (1-p)^(n-r), exactly.
 
-    The sum is the Fibonacci-type polynomial G_n(x) = G_{n-1} + x G_{n-2}
-    evaluated at x = p/(1-p) and scaled by (1-p)^n, so with p = a/b and
-    d = b - a the integer sequence W_m = d^m G_m(a/d) obeys
-    W_m = d W_{m-1} + a d W_{m-2} and F(n) = W_n / b^n.  Computing W_n by a
-    matrix power keeps this fast even for n in the tens of thousands with
-    64-fractional-bit probabilities.
+    With p = a/b and d = b - a, W_n = b^n F(n) obeys W_m = d W_{m-1} + a d W_{m-2}
+    (the Fibonacci-type polynomial G_n(p/(1-p)) scaled by (1-p)^n), so it is
+    U_{n+1} of `_lucas_u`; n in the tens of thousands at dyadic64 p is fast.
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    p = _as_probability(p)
-    if p == 1:
-        return Fraction(1 if n == 0 else 0)
-    if n == 0:
-        return Fraction(1)
-    a, b = p.numerator, p.denominator
-    d = b - a
-    m00, m01, _, _ = _mat_pow_2x2(d, a * d, n - 1)
-    return Fraction(m00 * d + m01, b ** n)
+    _, b, _, _, u1 = _lucas_at(p, n)
+    return _over_power(u1, b, n)
 
 
 def _f_series_reference(n: int, p) -> Fraction:
@@ -201,26 +212,23 @@ def prob_diff_missing(n: int, p) -> Fraction:
         sum_{r=1}^{floor(n/2)} [C(n-r+1, r) - C(n-r-1, r-2)] p^r (1-p)^(n-r).
 
     Starting at r = 1 excludes the empty set; adding (1-p)^n (the r = 0 term)
-    recovers the unconditioned probability over all subsets.
+    recovers the unconditioned probability over all subsets.  Computed as
+    (V_n - d^n) / b^n, see `_lucas_u`.
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
-    p = _as_probability(p)
-    q = 1 - p
-    return sum((cycle_count(n, r) * p ** r * q ** (n - r)
-                for r in range(1, n // 2 + 1)), Fraction(0))
+    _, b, d, u, u1 = _lucas_at(p, n)
+    return _over_power(2 * u1 - d * u - d ** n, b, n)
 
 
 def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
     """P(k not in A-A) for general n, per the disjoint-cycle product formula.
 
-    With d = gcd(n, k), the difference graph splits into d cycles of length
-    n/d, and the formula conditions each cycle on a nonempty intersection:
+    With g = gcd(n, k), the difference graph splits into g cycles of length
+    m = n/g, and the formula conditions each cycle on a nonempty intersection:
+    (prob_diff_missing(m, p))^g, computed as (V_m - d^m)^g / b^n.
 
-        ( sum_{r=1}^{floor(n/(2d))} [C(n/d-r+1, r) - C(n/d-r-1, r-2)]
-              p^r (1-p)^(n/d - r) )^d.
-
-    For prime n (d = 1) this equals prob_diff_missing.  For composite n the
+    For prime n (g = 1) this equals prob_diff_missing.  For composite n the
     per-cycle nonemptiness makes it deviate from the enumerated probability;
     it is reported, not asserted, against the oracle.
     """
@@ -228,14 +236,10 @@ def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
         raise ParameterError("n must be >= 2")
     if k % n == 0:
         raise ParameterError("k must be a nonzero residue")
-    k %= n
-    p = _as_probability(p)
-    d = math.gcd(n, k)
-    m = n // d
-    q = 1 - p
-    cycle_sum = sum((cycle_count(m, r) * p ** r * q ** (m - r)
-                     for r in range(1, m // 2 + 1)), Fraction(0))
-    return cycle_sum ** d
+    g = math.gcd(n, k)
+    m = n // g
+    _, b, d, u, u1 = _lucas_at(p, m)
+    return _over_power((2 * u1 - d * u - d ** m) ** g, b, n)
 
 
 def prob_both_sums_missing(n: int, p) -> Fraction:
@@ -247,16 +251,12 @@ def prob_both_sums_missing(n: int, p) -> Fraction:
 
         (1-p)^2 * sum_r C(n-2-r+1, r) p^r (1-p)^(n-2-r),
 
-    with r running until the path count vanishes (r <= ceil((n-2)/2)).
+    computed as d^2 (U_{n-1} + a U_{n-2}) / b^n, see `_lucas_u`.
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
-    p = _as_probability(p)
-    q = 1 - p
-    m = n - 2
-    inner = sum((path_count(m, r) * p ** r * q ** (m - r)
-                 for r in range(0, (m + 1) // 2 + 1)), Fraction(0))
-    return q * q * inner
+    a, b, d, u, u1 = _lucas_at(p, n - 2)
+    return _over_power(d * d * (u1 + a * u), b, n)
 
 
 @dataclass(frozen=True)

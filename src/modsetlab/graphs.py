@@ -9,7 +9,9 @@ difference graph splits into gcd(n, k) cycles of length n / gcd(n, k).
 The oracle enumerates all 2^n subsets with weight p^|A| (1-p)^(n-|A|) and is
 exact: satisfying subsets are tallied per cardinality as integers and the
 probability is assembled once at the end, so partial tallies can be merged in
-any order.
+any order.  Masks run through numpy as uint32 chunks of _CHUNK, so an event
+predicate ``event(mask, n)`` must accept a Python int or a uint32 array and use
+only operators that work on both (&, |, <<, >>, ==; not `and`).
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ParameterError, ResourceLimitError
-from .sets import ResidueSet
+import numpy as np
 
-ORACLE_MAX_N_EVENTS = 22
+from .errors import ParameterError, ResourceLimitError
+from .exact import _as_probability, _over_power
+from .sets import ResidueSet, _rotl
+
+ORACLE_MAX_N_EVENTS = 22  # masks are uint32, so both caps must stay below 32
 ORACLE_MAX_N_MOMENTS = 18
 
 __all__ = [
@@ -169,51 +174,51 @@ def independence_event_holds(A: ResidueSet, g: PairGraph) -> bool:
 # exhaustive enumeration oracle
 
 
-def _rotl(mask: int, s: int, n: int, full: int) -> int:
-    return ((mask << s) | (mask >> (n - s))) & full
-
-
-def event_diff_missing(k: int) -> Callable[[int, int], bool]:
-    """Predicate: k is not in A-A."""
-
-    def pred(mask: int, n: int) -> bool:
-        full = (1 << n) - 1
-        return mask & _rotl(mask, k % n, n, full) == 0
-
-    return pred
-
-
-def _neg_mask(mask: int, n: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        lsb = m & -m
-        r = lsb.bit_length() - 1
-        out |= 1 << ((n - r) % n)
-        m ^= lsb
+def _neg_mask(mask, n: int):
+    """-A: bit r moves to bit (n - r) mod n, on an int or a uint32 array."""
+    out = mask & 1
+    for r in range(1, n):
+        out |= ((mask >> r) & 1) << (n - r)
     return out
 
 
-def event_sum_missing(i: int) -> Callable[[int, int], bool]:
+def _avoids(mask, n: int, base, shifts):
+    """mask & (base rotated left by each shift) == 0, on an int or a uint32 array."""
+    hit = 0
+    for s in shifts:
+        hit |= _rotl(base, s % n, n, (1 << n) - 1)
+    return mask & hit == 0
+
+
+def event_diff_missing(k: int) -> Callable:
+    """Predicate: k is not in A-A."""
+    return lambda mask, n: _avoids(mask, n, mask, (k,))
+
+
+def event_sum_missing(i: int) -> Callable:
     """Predicate: i is not in A+A."""
-
-    def pred(mask: int, n: int) -> bool:
-        full = (1 << n) - 1
-        return mask & _rotl(_neg_mask(mask, n), i % n, n, full) == 0
-
-    return pred
+    return lambda mask, n: _avoids(mask, n, _neg_mask(mask, n), (i,))
 
 
-def event_sums_missing(i: int, j: int) -> Callable[[int, int], bool]:
+def event_sums_missing(i: int, j: int) -> Callable:
     """Predicate: neither i nor j is in A+A."""
+    return lambda mask, n: _avoids(mask, n, _neg_mask(mask, n), (i, j))
 
-    def pred(mask: int, n: int) -> bool:
-        full = (1 << n) - 1
-        neg = _neg_mask(mask, n)
-        return (mask & _rotl(neg, i % n, n, full) == 0
-                and mask & _rotl(neg, j % n, n, full) == 0)
 
-    return pred
+_CHUNK = 4096  # masks per uint32 chunk: large enough to amortise numpy, small in memory
+
+
+def _mask_chunks(n: int, start: int = 0):
+    for lo in range(start, 1 << n, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.uint32)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Bits set in each uint32 (SWAR)."""
+    x = x - ((x >> 1) & 0x55555555)
+    x = (x & 0x33333333) + ((x >> 2) & 0x33333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F
+    return (x * 0x01010101) >> 24
 
 
 def _check_oracle_n(n: int, limit: int) -> None:
@@ -223,40 +228,40 @@ def _check_oracle_n(n: int, limit: int) -> None:
         raise ResourceLimitError(f"enumeration oracle capped at n <= {limit}, got {n}")
 
 
-def oracle_event_probability(n: int, p, event: Callable[[int, int], bool],
+def _weigh(counts, p: Fraction, n: int) -> Fraction:
+    """sum_c counts[c] p^c (1-p)^(n-c), formed as one integer over b^n."""
+    a, b = p.numerator, p.denominator
+    d = b - a
+    return _over_power(sum(int(t) * a ** c * d ** (n - c)
+                           for c, t in enumerate(counts) if t), b, n)
+
+
+def oracle_event_probability(n: int, p, event: Callable,
                              include_empty_set: bool = True) -> Fraction:
     """Exact P(event) over all 2^n subsets, weight p^|A| (1-p)^(n-|A|).
 
-    Satisfying subsets are counted per cardinality (exact integers) and the
-    weighted sum is formed once at the end.  ``include_empty_set=False``
-    drops A = empty from the event.
+    ``event(masks, n)`` gets uint32 chunks of masks and returns a boolean
+    array (see the module docstring).  Satisfying subsets are counted per
+    cardinality in int64 and weighted once at the end.
+    ``include_empty_set=False`` drops A = empty from the event.
     """
     _check_oracle_n(n, ORACLE_MAX_N_EVENTS)
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"p={p} outside [0, 1]")
-    counts = [0] * (n + 1)
-    start = 0 if include_empty_set else 1
-    for mask in range(start, 1 << n):
-        if event(mask, n):
-            counts[mask.bit_count()] += 1
-    q = 1 - p
-    return sum((counts[c] * p ** c * q ** (n - c)
-                for c in range(n + 1) if counts[c]), Fraction(0))
+    p = _as_probability(p)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for masks in _mask_chunks(n, 0 if include_empty_set else 1):
+        counts += np.bincount(_popcount(masks[event(masks, n)]), minlength=n + 1)
+    return _weigh(counts, p, n)
 
 
 def oracle_mean(n: int, p, statistic: Callable[[int, int], int]) -> Fraction:
-    """Exact E[statistic(A)] over all 2^n subsets; statistic must be integer-valued."""
+    """Exact E[statistic(A)] over all 2^n subsets, calling the integer-valued
+    ``statistic(mask, n)`` (arbitrary user code) once per mask on a Python int."""
     _check_oracle_n(n, ORACLE_MAX_N_MOMENTS)
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"p={p} outside [0, 1]")
+    p = _as_probability(p)
     sums = [0] * (n + 1)
     for mask in range(1 << n):
         sums[mask.bit_count()] += statistic(mask, n)
-    q = 1 - p
-    return sum((sums[c] * p ** c * q ** (n - c)
-                for c in range(n + 1) if sums[c]), Fraction(0))
+    return _weigh(sums, p, n)
 
 
 @dataclass(frozen=True)
@@ -270,39 +275,33 @@ class OracleMoments:
 
 
 def oracle_moments(n: int, p) -> OracleMoments:
-    """Exact moments of S^c = n - |A+A| and D^c = n - |A-A| by full enumeration."""
+    """Exact moments of S^c = n - |A+A| and D^c = n - |A-A| by full enumeration.
+
+    Per uint32 chunk of masks, A+A and A-A are the OR over a in A of A and -A
+    rotated by a; the (|A|, missing count) pairs are tallied in int64.
+    """
     _check_oracle_n(n, ORACLE_MAX_N_MOMENTS)
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"p={p} outside [0, 1]")
+    p = _as_probability(p)
     full = (1 << n) - 1
-    sc_sum = [0] * (n + 1)
-    sc_sq = [0] * (n + 1)
-    dc_sum = [0] * (n + 1)
-    dc_sq = [0] * (n + 1)
-    for mask in range(1 << n):
-        s_acc = 0
-        d_acc = 0
-        neg = _neg_mask(mask, n)
-        m = mask
-        while m:
-            lsb = m & -m
-            a = lsb.bit_length() - 1
-            s_acc |= _rotl(mask, a, n, full)
-            d_acc |= _rotl(neg, a, n, full)
-            m ^= lsb
-        c = mask.bit_count()
-        sc = n - s_acc.bit_count()
-        dc = n - d_acc.bit_count()
-        sc_sum[c] += sc
-        sc_sq[c] += sc * sc
-        dc_sum[c] += dc
-        dc_sq[c] += dc * dc
-    q = 1 - p
-    weights = [p ** c * q ** (n - c) for c in range(n + 1)]
-    e_sc = sum((sc_sum[c] * weights[c] for c in range(n + 1)), Fraction(0))
-    e_sc2 = sum((sc_sq[c] * weights[c] for c in range(n + 1)), Fraction(0))
-    e_dc = sum((dc_sum[c] * weights[c] for c in range(n + 1)), Fraction(0))
-    e_dc2 = sum((dc_sq[c] * weights[c] for c in range(n + 1)), Fraction(0))
-    return OracleMoments(E_Sc=e_sc, E_Dc=e_dc,
-                         Var_Sc=e_sc2 - e_sc * e_sc, Var_Dc=e_dc2 - e_dc * e_dc)
+    m1 = n + 1
+    tally_s, tally_d = np.zeros((2, m1 * m1), dtype=np.int64)
+    for masks in _mask_chunks(n):
+        neg = _neg_mask(masks, n)
+        s_acc, d_acc = np.zeros((2, masks.size), dtype=np.uint32)
+        for a in range(n):
+            member = (masks >> a) & 1
+            s_acc |= _rotl(masks, a, n, full) * member
+            d_acc |= _rotl(neg, a, n, full) * member
+        row = _popcount(masks) * m1
+        tally_s += np.bincount(row + (n - _popcount(s_acc)), minlength=m1 * m1)
+        tally_d += np.bincount(row + (n - _popcount(d_acc)), minlength=m1 * m1)
+    miss = np.arange(m1, dtype=np.int64)
+
+    def moments(tally):
+        t = tally.reshape(m1, m1)
+        mean = _weigh(t @ miss, p, n)
+        return mean, _weigh(t @ (miss * miss), p, n) - mean * mean
+
+    e_sc, var_sc = moments(tally_s)
+    e_dc, var_dc = moments(tally_d)
+    return OracleMoments(E_Sc=e_sc, E_Dc=e_dc, Var_Sc=var_sc, Var_Dc=var_dc)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, determinism, config file, exit codes."""
 
 import json
+import random
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from decimal import Decimal
@@ -98,6 +99,17 @@ class TestExact:
         assert len(data["numerator"]) > limit
         value = Fraction(int(Decimal(data["numerator"])), int(Decimal(data["denominator"])))
         assert value == exact.f_series(2000, Fraction(123, 1000))
+
+    def test_digits_match_decimal(self):
+        rng = random.Random(5)
+        cases = [0, 1, 9, 2 ** 4096 - 1, 2 ** 4096, 2 ** 4097 + 1, 2 ** 64 ** 2]
+        for k in (1, 19, 1233, 1234, 2500, 5000, 20000):
+            cases += [10 ** k - 1, 10 ** k, 10 ** k + 1]
+        for digits in (30, 1300, 5000, 12345, 40000, 100000):
+            cases.append(rng.randrange(10 ** (digits - 1), 10 ** digits))
+        for x in cases:
+            assert cli._digits(x) == str(Decimal(x))
+            assert cli._digits(-x) == str(Decimal(-x))
 
     def test_missing_param(self, capsys):
         code, _, err = run_cli(capsys, "exact", "F", "--n", "10")

@@ -26,7 +26,7 @@ from modsetlab import (
     event_diff_missing,
     event_sums_missing,
 )
-from modsetlab.exact import _f_series_reference, f_series_log
+from modsetlab.exact import _f_series_reference, _lucas_u, _over_power, f_series_log
 from modsetlab.sets import dyadic64
 
 PRIMES_13 = (2, 3, 5, 7, 11, 13)
@@ -110,6 +110,75 @@ class TestFSeries:
             v = f_series(n, p)
             exact_log = math.log(v.numerator) - math.log(v.denominator)
             assert f_series_log(n, p) == pytest.approx(exact_log, abs=1e-9)
+
+
+def cycle_reference(m, p):
+    """P(A independent on the m-cycle), term by term (empty set included)."""
+    q = 1 - p
+    return sum((cycle_count(m, r) * p ** r * q ** (m - r) for r in range(m // 2 + 1)),
+               Fraction(0))
+
+
+def path_reference(m, p):
+    """P(A independent on the m-vertex path), term by term."""
+    q = 1 - p
+    return sum((path_count(m, r) * p ** r * q ** (m - r) for r in range((m + 1) // 2 + 1)),
+               Fraction(0))
+
+
+PRIMITIVE_P = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+               Fraction(3, 7))
+
+
+class TestLucasPrimitive:
+    @pytest.mark.parametrize("P,Q", [(1, -1), (3, 2), (0, 0), (1, 0), (0, 5), (-2, 5),
+                                     (7, -12), (2 ** 64 - 3, -(3 * (2 ** 64 - 3)))])
+    def test_matches_recurrence(self, P, Q):
+        seq = [0, 1]
+        for _ in range(70):
+            seq.append(P * seq[-1] - Q * seq[-2])
+        for n in range(70):
+            assert _lucas_u(P, Q, n) == (seq[n], seq[n + 1])
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_against_termwise_series(self, n):
+        for p in PRIMITIVE_P + (dyadic64(n ** -0.5),):
+            q = 1 - p
+            assert f_series(n, p) == _f_series_reference(n, p)
+            assert prob_diff_missing(n, p) == cycle_reference(n, p) - q ** n
+            assert prob_both_sums_missing(n, p) == q * q * path_reference(n - 2, p)
+
+    def test_composite_against_termwise(self):
+        for n in (4, 6, 8, 9, 10, 12, 15, 16, 18, 21, 24, 25, 30, 36):
+            for k in range(1, n):
+                g = math.gcd(n, k)
+                m = n // g
+                for p in (Fraction(1, 3), Fraction(2, 5), dyadic64(n ** -0.5)):
+                    expected = (cycle_reference(m, p) - (1 - p) ** m) ** g
+                    assert prob_diff_missing_composite(n, k, p) == expected
+                    assert prob_diff_missing_composite(n, -k, p) == expected
+
+    def test_lucas_against_recurrence(self):
+        a, b = 2, 1
+        for n in range(200):
+            assert lucas(n) == a
+            a, b = b, a + b
+
+    @pytest.mark.parametrize("b", [1, 2, 4, 2 ** 64, 3, 6, 10])
+    def test_over_power_is_reduced_fraction(self, b):
+        for n in (0, 1, 5, 37):
+            for num in (0, 1, 2, 3, 12, 2 ** 70, 3 ** 50, 2 ** 300 * 5, b ** n, 7 * b ** n):
+                got = _over_power(num, b, n)
+                want = Fraction(num, b ** n)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                assert got == want and hash(got) == hash(want)
+
+    def test_endpoint_probabilities_reduce(self):
+        for n in (2, 3, 10, 61):
+            for p in (Fraction(0), Fraction(1)):
+                for value in (f_series(n, p), prob_diff_missing(n, p),
+                              prob_both_sums_missing(n, p)):
+                    assert value.denominator == 1 and value in (0, 1)
 
 
 class TestMissingSums:

@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from modsetlab import graphs
 from modsetlab import (
     ParameterError,
     ResidueSet,
@@ -21,9 +23,11 @@ from modsetlab import (
     oracle_event_probability,
     oracle_mean,
     oracle_moments,
+    prob_both_sums_missing,
     prob_diff_missing,
     sumset,
 )
+from modsetlab.sets import _rotl, dyadic64
 
 PRIMES_19 = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -171,5 +175,96 @@ class TestOracle:
         with pytest.raises(ResourceLimitError):
             oracle_moments(19, Fraction(1, 2))
 
+    def test_predicates_accept_int_and_uint32_array(self):
+        for n in range(1, 11):
+            events = ([event_diff_missing(k) for k in range(1, n + 1)]
+                      + [event_sum_missing(i) for i in range(n)]
+                      + [event_sums_missing(i, j) for i in range(n) for j in range(i + 1, n)])
+            masks = np.arange(1 << n, dtype=np.uint32)
+            for event in events:
+                on_array = event(masks, n)
+                assert on_array.dtype == bool and on_array.shape == masks.shape
+                on_ints = [event(mask, n) for mask in range(1 << n)]
+                assert all(type(v) is bool for v in on_ints)
+                assert on_array.tolist() == on_ints
+
+    def test_popcount_matches_bit_count(self):
+        x = np.concatenate([np.arange(1 << 16), [2 ** 32 - 1, 2 ** 31, 0x55555555, 0xAAAAAAAA,
+                                                  2 ** 22 - 1, 123456789]]).astype(np.uint32)
+        assert graphs._popcount(x).tolist() == [int(v).bit_count() for v in x]
+
+    def test_excluding_empty_set_across_two_chunks(self):
+        n = 13
+        assert 1 << n == 2 * graphs._CHUNK
+        for p in (Fraction(1, 3), dyadic64(n ** -0.5)):
+            q = 1 - p
+            for event in (event_diff_missing(5), event_sum_missing(4), event_sums_missing(0, 7),
+                          lambda mask, n: mask >= (1 << n) - 3):
+                for include in (True, False):
+                    got = oracle_event_probability(n, p, event, include_empty_set=include)
+                    assert got == event_reference(n, p, event, include)
+            excl = oracle_event_probability(n, p, event_diff_missing(5), include_empty_set=False)
+            assert excl == prob_diff_missing(n, p)
+            assert oracle_event_probability(n, p, event_diff_missing(5)) == excl + q ** n
+            assert oracle_event_probability(n, p, event_sums_missing(2, 9)) == \
+                prob_both_sums_missing(n, p)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_moments_match_per_mask_reference(self, n):
+        for p in (Fraction(1, 3), dyadic64(n ** -0.5)):
+            assert oracle_moments(n, p) == moments_reference(n, p)
+
     def test_is_prime_helper(self):
         assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def weigh_reference(per_card, p, n):
+    q = 1 - p
+    return sum((per_card[c] * p ** c * q ** (n - c) for c in range(n + 1)), Fraction(0))
+
+
+def event_reference(n, p, event, include_empty_set):
+    """One predicate call per mask on a Python int."""
+    counts = [0] * (n + 1)
+    for mask in range(0 if include_empty_set else 1, 1 << n):
+        if event(mask, n):
+            counts[mask.bit_count()] += 1
+    return weigh_reference(counts, p, n)
+
+
+def neg_mask_reference(mask, n):
+    out = 0
+    m = mask
+    while m:
+        lsb = m & -m
+        out |= 1 << ((n - (lsb.bit_length() - 1)) % n)
+        m ^= lsb
+    return out
+
+
+def moments_reference(n, p):
+    """The per-mask moments loop: OR the rotations of A and -A by each a in A."""
+    full = (1 << n) - 1
+    sc_sum, sc_sq, dc_sum, dc_sq = ([0] * (n + 1) for _ in range(4))
+    for mask in range(1 << n):
+        s_acc = 0
+        d_acc = 0
+        neg = neg_mask_reference(mask, n)
+        m = mask
+        while m:
+            lsb = m & -m
+            a = lsb.bit_length() - 1
+            s_acc |= _rotl(mask, a, n, full)
+            d_acc |= _rotl(neg, a, n, full)
+            m ^= lsb
+        c = mask.bit_count()
+        sc = n - s_acc.bit_count()
+        dc = n - d_acc.bit_count()
+        sc_sum[c] += sc
+        sc_sq[c] += sc * sc
+        dc_sum[c] += dc
+        dc_sq[c] += dc * dc
+    e_sc, e_dc = weigh_reference(sc_sum, p, n), weigh_reference(dc_sum, p, n)
+    return graphs.OracleMoments(E_Sc=e_sc, E_Dc=e_dc,
+                                Var_Sc=weigh_reference(sc_sq, p, n) - e_sc * e_sc,
+                                Var_Dc=weigh_reference(dc_sq, p, n) - e_dc * e_dc)
