@@ -365,39 +365,35 @@ def cmd_oracle(args) -> int:
             "comparisons": comparisons}
     elif args.event:
         include_empty = bool(args.include_empty)
+        # (name, closed form, asserted); an asserted form counts A = empty
+        comparison = None
         if args.event == "diff-missing":
             if args.k is None:
                 raise ParameterError("diff-missing needs --k")
-            value = graphs.oracle_event_probability(
-                n, p, graphs.event_diff_missing(args.k), include_empty_set=include_empty)
-            if is_prime(n):
-                closed = exact.prob_diff_missing(n, p)
-                if include_empty:
-                    closed += q ** n  # empty-set bridge
-                comparisons.append(_comparison("P(k not in A-A)", value, closed, True))
+            event = graphs.event_diff_missing(args.k)
+            if is_prime(n):  # prob_diff_missing counts nonempty A only
+                comparison = ("P(k not in A-A)", exact.prob_diff_missing(n, p) + q ** n, True)
             else:
-                closed = exact.prob_diff_missing_composite(n, args.k, p)
-                comparisons.append(_comparison(
-                    "P(k not in A-A) [per-cycle-nonempty form; not asserted]",
-                    value, closed, False))
+                comparison = ("P(k not in A-A) [per-cycle-nonempty form; not asserted]",
+                              exact.prob_diff_missing_composite(n, args.k, p), False)
         elif args.event == "sum-missing":
             if args.i is None:
                 raise ParameterError("sum-missing needs --i")
-            value = graphs.oracle_event_probability(
-                n, p, graphs.event_sum_missing(args.i), include_empty_set=include_empty)
+            event = graphs.event_sum_missing(args.i)
             if n % 2 == 1:
-                closed = exact.expected_missing_sums(n, p) / n
-                comparisons.append(_comparison("P(i not in A+A)", value, closed, True))
+                comparison = ("P(i not in A+A)", exact.expected_missing_sums(n, p) / n, True)
         else:
             if args.i is None or args.j is None:
                 raise ParameterError("both-sums-missing needs --i and --j")
-            value = graphs.oracle_event_probability(
-                n, p, graphs.event_sums_missing(args.i, args.j),
-                include_empty_set=include_empty)
+            event = graphs.event_sums_missing(args.i, args.j)
             if is_prime(n):
-                closed = exact.prob_both_sums_missing(n, p)
-                comparisons.append(_comparison(
-                    "P(i,j not in A+A)", value, closed, True))
+                comparison = ("P(i,j not in A+A)", exact.prob_both_sums_missing(n, p), True)
+        value = graphs.oracle_event_probability(n, p, event, include_empty_set=include_empty)
+        if comparison is not None:
+            name, closed, asserted = comparison
+            if asserted and not include_empty:
+                closed -= q ** n  # empty-set bridge: A = empty misses every target
+            comparisons.append(_comparison(name, value, closed, asserted))
         out = {"n": n, "p": _frac_str(p), "event": args.event,
                "include_empty_set": include_empty,
                "oracle": _frac_str(value), "comparisons": comparisons}

@@ -11,7 +11,9 @@ exact: satisfying subsets are tallied per cardinality as integers and the
 probability is assembled once at the end, so partial tallies can be merged in
 any order.  Masks run through numpy as uint32 chunks of _CHUNK, so an event
 predicate ``event(mask, n)`` must accept a Python int or a uint32 array and use
-only operators that work on both (&, |, <<, >>, ==; not `and`).
+only operators that work on both (&, |, <<, >>, ==; not `and`).  The built-in
+predicates are the negation and rotation kernel of `sets` (`_neg`,
+`_or_rotations`), which take either.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .exact import _as_probability, _over_power
-from .sets import ResidueSet, _rotl
+from .sets import ResidueSet, _neg, _or_rotations, _rotl
 
 ORACLE_MAX_N_EVENTS = 22  # masks are uint32, so both caps must stay below 32
 ORACLE_MAX_N_MOMENTS = 18
@@ -174,35 +176,20 @@ def independence_event_holds(A: ResidueSet, g: PairGraph) -> bool:
 # exhaustive enumeration oracle
 
 
-def _neg_mask(mask, n: int):
-    """-A: bit r moves to bit (n - r) mod n, on an int or a uint32 array."""
-    out = mask & 1
-    for r in range(1, n):
-        out |= ((mask >> r) & 1) << (n - r)
-    return out
-
-
-def _avoids(mask, n: int, base, shifts):
-    """mask & (base rotated left by each shift) == 0, on an int or a uint32 array."""
-    hit = 0
-    for s in shifts:
-        hit |= _rotl(base, s % n, n, (1 << n) - 1)
-    return mask & hit == 0
-
-
 def event_diff_missing(k: int) -> Callable:
-    """Predicate: k is not in A-A."""
-    return lambda mask, n: _avoids(mask, n, mask, (k,))
+    """Predicate: k is not in A-A, i.e. A misses A rotated by k."""
+    return lambda mask, n: mask & _or_rotations(n, 1 << k % n, mask) == 0
 
 
 def event_sum_missing(i: int) -> Callable:
-    """Predicate: i is not in A+A."""
-    return lambda mask, n: _avoids(mask, n, _neg_mask(mask, n), (i,))
+    """Predicate: i is not in A+A, i.e. A misses -A rotated by i."""
+    return lambda mask, n: mask & _or_rotations(n, 1 << i % n, _neg(mask, n)) == 0
 
 
 def event_sums_missing(i: int, j: int) -> Callable:
     """Predicate: neither i nor j is in A+A."""
-    return lambda mask, n: _avoids(mask, n, _neg_mask(mask, n), (i, j))
+    return lambda mask, n: (
+        mask & _or_rotations(n, (1 << i % n) | (1 << j % n), _neg(mask, n)) == 0)
 
 
 _CHUNK = 4096  # masks per uint32 chunk: large enough to amortise numpy, small in memory
@@ -286,7 +273,7 @@ def oracle_moments(n: int, p) -> OracleMoments:
     m1 = n + 1
     tally_s, tally_d = np.zeros((2, m1 * m1), dtype=np.int64)
     for masks in _mask_chunks(n):
-        neg = _neg_mask(masks, n)
+        neg = _neg(masks, n)
         s_acc, d_acc = np.zeros((2, masks.size), dtype=np.uint32)
         for a in range(n):
             member = (masks >> a) & 1

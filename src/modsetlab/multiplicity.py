@@ -33,7 +33,8 @@ from math import comb
 import numpy as np
 
 from .errors import ParameterError
-from .sets import ResidueSet, _SPARSE_BLOCK
+from .exact import _as_probability
+from .sets import ResidueSet, _pair_residues
 
 _FFT_CROSSOVER = 4  # FFT backend once 4 |A|^2 > L log2 L; see _use_fft
 
@@ -79,19 +80,11 @@ def _use_fft(c: int, n: int) -> bool:
 
 def _pair_counts_sparse(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ordered sum counts, ordered difference counts) by an exact pair bincount."""
-    m_diff = np.zeros(n, dtype=np.int64)
-    ordered_sum = np.zeros(n, dtype=np.int64)
-    c = idx.size
-    if c:
-        block = max(1, _SPARSE_BLOCK // c)
-        for s in range(0, c, block):
-            chunk = idx[s:s + block, None]
-            t = chunk + idx[None, :]
-            t[t >= n] -= n
-            ordered_sum += np.bincount(t.ravel(), minlength=n)
-            t = chunk - idx[None, :]
-            t[t < 0] += n
-            m_diff += np.bincount(t.ravel(), minlength=n)
+    ordered_sum, m_diff = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for total, subtract in ((ordered_sum, False), (m_diff, True)):
+        for t in _pair_residues(n, idx, subtract):
+            total += np.bincount(t, minlength=n)
+            del t  # no block outlives its bincount: the peak stays at one block
     return ordered_sum, m_diff
 
 
@@ -206,9 +199,7 @@ def expected_x_k(n: int, p, k: int) -> Fraction:
     k = 1 it returns n(n+1)/2 + n while the realized X_1 of the full set is
     n(n+1)/2.  See expected_x_k_exact for the exact expectation.
     """
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"p={p} outside [0, 1]")
+    p = _as_probability(p)
     xi1, xi2 = xi_counts(n, k)
     return xi1 * p ** (2 * k) + xi2 * p ** (2 * k - 1)
 
@@ -224,9 +215,7 @@ def expected_x_k_exact(n: int, p, k: int) -> Fraction:
         raise ParameterError("exact E[X_k] requires odd n")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"p={p} outside [0, 1]")
+    p = _as_probability(p)
     half = (n - 1) // 2
     return n * (comb(half, k) * p ** (2 * k) + comb(half, k - 1) * p ** (2 * k - 1))
 
@@ -289,9 +278,7 @@ def expected_y_k_exact(n: int, p, k: int) -> Fraction:
         raise ParameterError("k must be >= 1")
     if n < 2:
         raise ParameterError("n must be >= 2")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"p={p} outside [0, 1]")
+    p = _as_probability(p)
     total = comb(n, k) * p ** k
     gcd_counts: dict[int, int] = {}
     for r in range(1, n):

@@ -1,16 +1,27 @@
 """Random subsets of Z/nZ and their sumsets / difference sets.
 
-A subset is stored as an immutable bit mask over the residues 0..n-1.
-Sumsets and difference sets are computed either by a dense kernel
-(cyclic bit rotations OR-ed together, cost ~ |A| * n / wordsize) or by a
-sparse kernel (vectorized pair enumeration, cost ~ |A|^2); ``kernel="auto"``
-picks by a size threshold and both kernels produce identical masks.  The
-dense kernel stops as soon as the accumulated mask is all of Z/nZ, so a
-dense random set costs only the few dozen rotations that fill it.
+A subset is stored as an immutable bit mask over the residues 0..n-1.  Since
+A-A = A + (-A), three primitives carry every sum and difference in the
+package, each written once here:
 
-These kernels stay separate from `multiplicity.multiplicity_profile` (pair
-bincount or FFT) on purpose: the Monte Carlo spot check compares the two, and
-it is a check only while they share no algorithm.
+* `_neg`, negation mod n by a bit reversal (log n mask-and-shift steps);
+* `_or_rotations`, the OR of one mask rotated by each member of a shift set,
+  which stops once the result is all of Z/nZ (the dense kernel: A+A is A
+  rotated by A, A-A is -A rotated by A; cost ~ |A| * n / wordsize, but a
+  dense random set fills Z/nZ in a few dozen rotations);
+* `_pair_residues`, the wrapped pair sums or differences in flat blocks (the
+  sparse kernel scatters them into a mask, cost ~ |A|^2; the multiplicity
+  profile bincounts them).
+
+``kernel="auto"`` picks the dense or sparse kernel by a size threshold; both
+produce identical masks.  `graphs` builds its oracle predicates from `_neg`
+and `_or_rotations`, and works on uint32 arrays of masks as well as on ints.
+
+The rotation kernel stays separate from `multiplicity.multiplicity_profile`
+on purpose: the Monte Carlo spot check compares the two, and for dense sets
+it sets the rotations against the FFT, which share no code.  For sparse sets
+both sides read `_pair_residues`, so there the check covers the scatter and
+the bincount; the enumerator itself is tested against brute force.
 
 Sampling is deterministic: the random stream of trial t is derived only
 from (base_seed, t), so trials can run in any order, on any number of
@@ -52,10 +63,7 @@ def dyadic64(p) -> Fraction:
     f = Fraction(p)
     if not 0 <= f <= 1:
         raise ParameterError(f"probability {p!r} outside [0, 1]")
-    num, rem = divmod(f.numerator * _ONE, f.denominator)
-    if 2 * rem >= f.denominator:
-        num += 1
-    return Fraction(num, _ONE)
+    return Fraction(_threshold64(f), _ONE)
 
 
 def _threshold64(p: Fraction) -> int:
@@ -103,8 +111,7 @@ class ResidueSet:
 
     def negated(self) -> "ResidueSet":
         """The set {-a mod n : a in A}."""
-        idx = self.indices()
-        return ResidueSet.from_indices(self.n, (self.n - idx) % self.n)
+        return ResidueSet(self.n, _neg(self.mask, self.n))
 
     def __contains__(self, r: int) -> bool:
         return 0 <= r < self.n and (self.mask >> r) & 1 == 1
@@ -185,53 +192,70 @@ def _rotl(mask: int, s: int, n: int, full: int) -> int:
     return ((mask << s) | (mask >> (n - s))) & full
 
 
-def _sumset_mask_dense(n: int, mask: int) -> int:
-    # an OR cannot grow past full, so stop once acc saturates
+def _neg(mask, n: int):
+    """-A: bit r moves to bit (n - r) mod n, on an int or a uint32 array (n <= 32).
+
+    Reverse the bits within the smallest power-of-two width w >= n, swapping
+    halves, quarters, ... (log2 w mask-and-shift steps); shifting right by
+    w - n then sends r to n-1-r, and a rotation left by one to n-r mod n.
+    """
+    w = 1 << (n - 1).bit_length()
+    s = w >> 1
+    m = (1 << s) - 1  # the low s bits of every 2s-bit block
+    while s:
+        mask = ((mask >> s) & m) | ((mask & m) << s)
+        s >>= 1
+        m ^= m << s
+    return _rotl(mask >> (w - n), 1, n, (1 << n) - 1)
+
+
+def _or_rotations(n: int, shifts: int, base):
+    """OR of `base` rotated left by each member of the bit mask `shifts`.
+
+    `base` is a Python int or a uint32 array (n <= 32).  On an int the loop
+    stops once the result is all of Z/nZ, since an OR cannot grow past it.
+    """
     full = (1 << n) - 1
+    saturates = isinstance(base, int)
     acc = 0
-    m = mask
-    while m and acc != full:
-        lsb = m & -m
-        acc |= _rotl(mask, lsb.bit_length() - 1, n, full)
-        m ^= lsb
+    while shifts and not (saturates and acc == full):
+        low = shifts & -shifts
+        acc |= _rotl(base, low.bit_length() - 1, n, full)
+        shifts ^= low
     return acc
 
 
-def _difference_mask_dense(n: int, mask: int, neg_mask: int) -> int:
-    # {a - b} = union over a in A of (-A and then rotate left by a)
-    full = (1 << n) - 1
-    acc = 0
-    m = mask
-    while m and acc != full:
-        lsb = m & -m
-        acc |= _rotl(neg_mask, lsb.bit_length() - 1, n, full)
-        m ^= lsb
-    return acc
+def _pair_residues(n: int, idx: np.ndarray, subtract: bool):
+    """Yield a + b (or a - b) mod n over all ordered pairs of idx, in flat blocks.
+
+    A block holds at most _SPARSE_BLOCK entries (one row of |A| if |A| is larger).
+    """
+    c = idx.size
+    block = max(1, _SPARSE_BLOCK // max(c, 1))
+    for s in range(0, c, block):
+        chunk = idx[s:s + block, None]
+        if subtract:
+            t = chunk - idx[None, :]
+            t[t < 0] += n
+        else:
+            t = chunk + idx[None, :]
+            t[t >= n] -= n
+        yield t.ravel()
 
 
 def _pair_table_mask(n: int, idx: np.ndarray, subtract: bool) -> int:
-    """Bit mask of all pairwise sums (or differences) mod n, block-wise."""
-    bits = np.zeros(n, dtype=bool)
-    c = idx.size
-    if c == 0:
-        return 0
-    block = max(1, _SPARSE_BLOCK // c)
-    for s in range(0, c, block):
-        chunk = idx[s:s + block, None]
-        t = chunk - idx[None, :] if subtract else chunk + idx[None, :]
-        if subtract:
-            t[t < 0] += n
-        else:
-            t[t >= n] -= n
-        bits[t.ravel()] = True
-    return _mask_from_bits(bits.astype(np.uint8))
+    """Bit mask of all pairwise sums (or differences) mod n."""
+    bits = np.zeros(n, dtype=np.uint8)
+    for t in _pair_residues(n, idx, subtract):
+        bits[t] = 1
+    return _mask_from_bits(bits)
 
 
 def sumset(A: ResidueSet, kernel: str = "auto") -> ResidueSet:
     """A+A = {a + b mod n : a, b in A} (a = b allowed)."""
     k = _pick_kernel(A) if kernel == "auto" else kernel
     if k == "dense":
-        return ResidueSet(A.n, _sumset_mask_dense(A.n, A.mask))
+        return ResidueSet(A.n, _or_rotations(A.n, A.mask, A.mask))
     if k == "sparse":
         return ResidueSet(A.n, _pair_table_mask(A.n, A.indices(), subtract=False))
     raise ParameterError(f"unknown kernel {kernel!r}")
@@ -241,7 +265,7 @@ def difference_set(A: ResidueSet, kernel: str = "auto") -> ResidueSet:
     """A-A = {a - b mod n : a, b in A}; symmetric under negation, contains 0 iff A nonempty."""
     k = _pick_kernel(A) if kernel == "auto" else kernel
     if k == "dense":
-        return ResidueSet(A.n, _difference_mask_dense(A.n, A.mask, A.negated().mask))
+        return ResidueSet(A.n, _or_rotations(A.n, A.mask, _neg(A.mask, A.n)))
     if k == "sparse":
         return ResidueSet(A.n, _pair_table_mask(A.n, A.indices(), subtract=True))
     raise ParameterError(f"unknown kernel {kernel!r}")

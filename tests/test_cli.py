@@ -130,6 +130,23 @@ class TestOracle:
         assert data["oracle"] == "5/16"
         assert comp["equal"] is True and comp["asserted"] is True
 
+    @pytest.mark.parametrize("include_empty", [False, True])
+    @pytest.mark.parametrize("event", [("diff-missing", "--k", "3"),
+                                       ("sum-missing", "--i", "2"),
+                                       ("both-sums-missing", "--i", "1", "--j", "4")],
+                             ids=lambda event: event[0])
+    def test_events_asserted_with_and_without_empty_set(self, capsys, event, include_empty):
+        # the diff-missing closed form leaves out A = empty and the sum forms
+        # count it; either way the oracle must match for both settings
+        flag = ("--include-empty",) if include_empty else ()
+        code, out, _ = run_cli(capsys, "oracle", "--n", "7", "--p", "1/3",
+                               "--event", *event, *flag)
+        data = json.loads(out)
+        (comp,) = data["comparisons"]
+        assert data["include_empty_set"] is include_empty
+        assert comp["asserted"] is True and comp["equal"] is True
+        assert code == 0
+
     def test_diff_missing_composite_not_asserted(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "6", "--p", "1/2",
                                "--event", "diff-missing", "--k", "2")

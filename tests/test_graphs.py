@@ -176,15 +176,19 @@ class TestOracle:
             oracle_moments(19, Fraction(1, 2))
 
     def test_predicates_accept_int_and_uint32_array(self):
-        for n in range(1, 11):
-            events = ([event_diff_missing(k) for k in range(1, n + 1)]
-                      + [event_sum_missing(i) for i in range(n)]
-                      + [event_sums_missing(i, j) for i in range(n) for j in range(i + 1, n)])
-            masks = np.arange(1 << n, dtype=np.uint32)
+        rng = np.random.default_rng(22)
+        cases = [(n, np.arange(1 << n, dtype=np.uint32), range(n)) for n in range(1, 11)]
+        # one oracle chunk of random masks where -A takes the 32-bit reversal width
+        cases += [(n, rng.integers(0, 1 << n, graphs._CHUNK, dtype=np.uint32),
+                   (0, 1, n // 2, n - 1)) for n in (19, 22)]
+        for n, masks, residues in cases:
+            events = ([event_diff_missing(k + 1) for k in residues]
+                      + [event_sum_missing(i) for i in residues]
+                      + [event_sums_missing(i, j) for i in residues for j in residues if i < j])
             for event in events:
                 on_array = event(masks, n)
                 assert on_array.dtype == bool and on_array.shape == masks.shape
-                on_ints = [event(mask, n) for mask in range(1 << n)]
+                on_ints = [event(mask, n) for mask in masks.tolist()]
                 assert all(type(v) is bool for v in on_ints)
                 assert on_array.tolist() == on_ints
 

@@ -1,13 +1,14 @@
 """Multiplicity profiles, x_k/y_k statistics, and the inclusion-exclusion identity."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from modsetlab import multiplicity
+from modsetlab import multiplicity, sets
 from modsetlab import (
     ParameterError,
     ResidueSet,
@@ -104,6 +105,28 @@ class TestBackends:
         got = multiplicity._pair_counts_fft(n, idx)
         assert len(fallbacks) == 1
         assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_pair_enumerator_over_many_blocks(self, monkeypatch, block):
+        # both sparse kernels read the shared pair enumerator; a small block
+        # splits every nontrivial set into several
+        monkeypatch.setattr(sets, "_SPARSE_BLOCK", block)
+        rng = random.Random(block)
+        for n in (1, 2, 13, 97, 256):
+            for members in ([], range(n), [r for r in range(n) if rng.random() < 0.3]):
+                members = list(members)
+                idx = np.asarray(members, dtype=np.int64)
+                sums = Counter((a + b) % n for a in members for b in members)
+                diffs = Counter((a - b) % n for a in members for b in members)
+                ordered_sum, m_diff = multiplicity._pair_counts_sparse(n, idx)
+                assert ordered_sum.tolist() == [sums[r] for r in range(n)]
+                assert m_diff.tolist() == [diffs[r] for r in range(n)]
+                for subtract, expected in ((False, sums), (True, diffs)):
+                    mask = sets._pair_table_mask(n, idx, subtract)
+                    assert set(ResidueSet(n, mask)) == set(expected)
+                    blocks = list(sets._pair_residues(n, idx, subtract))
+                    assert all(t.size <= max(block, len(members)) for t in blocks)
+                    assert sum(t.size for t in blocks) == len(members) ** 2
 
     def test_backend_choice_follows_set_size(self):
         # critical density |A| ~ c sqrt(n), c <= 3, stays on the bincount from

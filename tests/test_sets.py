@@ -39,6 +39,11 @@ class TestResidueSet:
     def test_negated(self):
         A = ResidueSet.from_indices(7, [0, 1, 5])
         assert sorted(A.negated()) == [0, 2, 6]
+        rng = random.Random(70)
+        for n in [*range(1, 71), 1000, 4097]:
+            for mask in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(4))):
+                A = ResidueSet(n, mask)
+                assert set(A.negated()) == {(n - a) % n for a in A}
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -58,6 +63,9 @@ class TestDyadic64:
         p = dyadic64(Fraction(1, 3))
         assert p.denominator <= 1 << 64
         assert abs(p - Fraction(1, 3)) <= Fraction(1, 2 ** 64)
+        # halves round up, below a half rounds down: the sampler's threshold rule
+        assert dyadic64(Fraction(1, 2 ** 65)) == Fraction(1, 2 ** 64)
+        assert dyadic64(Fraction(1, 2 ** 65) - Fraction(1, 2 ** 80)) == 0
 
     def test_range(self):
         with pytest.raises(ParameterError):
