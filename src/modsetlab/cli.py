@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 import decimal
 from decimal import Decimal
 from fractions import Fraction
@@ -29,9 +30,6 @@ EXIT_OK = 0
 EXIT_PARAMETER = 1
 EXIT_ASSERTION = 2
 EXIT_RESOURCE = 3
-
-EXACT_FORMULAS = ("path", "cycle", "lucas", "F", "ESc", "PdiffMissing",
-                  "PdiffComposite", "PbothSums", "EDc", "gauges", "targets")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,14 +80,15 @@ def _to_decimal(x: int, pow2: list[Decimal], j: int) -> Decimal:
     return _to_decimal(hi, pow2, j - 1) * pow2[j - 1] + _to_decimal(x - (hi << h), pow2, j - 1)
 
 
-def _rational_json(name: str, value: Fraction, params: dict) -> dict:
-    return {
-        "formula": name,
-        "params": params,
-        "numerator": _digits(value.numerator),
-        "denominator": _digits(value.denominator),
-        "value": float(value),
-    }
+def _rational(value: int | Fraction) -> dict:
+    """Every digit of a rational, and its float value or None beyond float range."""
+    value = Fraction(value)
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = None
+    return {"numerator": _digits(value.numerator),
+            "denominator": _digits(value.denominator), "value": approx}
 
 
 def _frac_str(x: Fraction) -> str:
@@ -129,7 +128,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--report", help="JSON report path (default: stdout)")
 
     sp = sub.add_parser("exact", help="evaluate one closed form exactly")
-    sp.add_argument("formula", choices=EXACT_FORMULAS)
+    sp.add_argument("formula", choices=_EXACT)
     sp.add_argument("--n", type=int)
     sp.add_argument("--p", type=_fraction)
     sp.add_argument("--k", type=int)
@@ -140,7 +139,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("oracle", help="compare closed forms against 2^n enumeration")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=_fraction, required=True)
-    sp.add_argument("--event", choices=("diff-missing", "sum-missing", "both-sums-missing"))
+    sp.add_argument("--event", choices=_EVENTS)
     sp.add_argument("--moments", action="store_true")
     sp.add_argument("--k", type=int)
     sp.add_argument("--i", type=int)
@@ -202,17 +201,11 @@ def _build_regime_spec(args, n_values: list[int]) -> tuple[RegimeSpec, dict]:
     workers = args.workers if args.workers is not None else usable_cpus()
     if args.require_prime:
         n_values = [next_prime(n) for n in n_values]
-    regime = args.regime
-    p_fixed = None
-    if regime is None:
-        if args.p is None:
-            raise ParameterError("need either --p or --regime")
-        regime = "fixed"
-        p_fixed = args.p
-    elif regime == "fixed":
-        if args.p is None:
-            raise ParameterError("fixed regime needs --p")
-        p_fixed = args.p
+    regime = args.regime or "fixed"
+    if regime == "fixed" and args.p is None:
+        raise ParameterError("fixed regime needs --p" if args.regime
+                             else "need either --p or --regime")
+    p_fixed = args.p if regime == "fixed" else None
     spec = RegimeSpec(
         regime=regime, n_values=tuple(n_values), trials=args.trials, base_seed=seed,
         delta=args.delta, c=args.c, gamma=args.gamma, p_fixed=p_fixed,
@@ -270,68 +263,51 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _need(args, *names):
-    missing = [f"--{x}" for x in names if getattr(args, x) is None]
+def _need(args, what: str, *flags) -> None:
+    missing = [f"--{x}" for x in flags if getattr(args, x) is None]
     if missing:
-        raise ParameterError(f"formula {args.formula!r} needs {', '.join(missing)}")
+        raise ParameterError(f"{what} needs {', '.join(missing)}")
+
+
+def _n_p(a) -> dict:
+    return {"n": a.n, "p": _frac_str(a.p)}
+
+
+def _with_bound(rec: exact.MissingDiffExpectation) -> dict:
+    return {**_rational(rec.value), "bound_2nF": _frac_str(rec.bound)}
+
+
+# formula -> (required flags, its params, its result fields), each from the args
+_EXACT = {
+    "path": (("n", "k"), lambda a: {"m": a.n, "r": a.k},
+             lambda a: _rational(exact.path_count(a.n, a.k))),
+    "cycle": (("n", "k"), lambda a: {"n": a.n, "k": a.k},
+              lambda a: _rational(exact.cycle_count(a.n, a.k))),
+    "lucas": (("n",), lambda a: {"n": a.n}, lambda a: _rational(exact.lucas(a.n))),
+    "F": (("n", "p"), _n_p, lambda a: _rational(exact.f_series(a.n, a.p))),
+    "ESc": (("n", "p"), _n_p, lambda a: {
+        **_rational(exact.expected_missing_sums(a.n, a.p)),
+        "asymptotic_form": _frac_str(exact.expected_missing_sums_asymptotic(a.n, a.p))}),
+    "PdiffMissing": (("n", "p"), _n_p,
+                     lambda a: _rational(exact.prob_diff_missing(a.n, a.p))),
+    "PdiffComposite": (("n", "k", "p"), lambda a: {"n": a.n, "k": a.k, "p": _frac_str(a.p)},
+                       lambda a: _rational(exact.prob_diff_missing_composite(a.n, a.k, a.p))),
+    "PbothSums": (("n", "p"), _n_p,
+                  lambda a: _rational(exact.prob_both_sums_missing(a.n, a.p))),
+    "EDc": (("n", "p"), _n_p, lambda a: _with_bound(exact.expected_missing_diffs(a.n, a.p))),
+    "gauges": (("n", "p"), _n_p, lambda a: asdict(exact.gauge_functions(a.n, a.p))),
+    "targets": (("n", "regime"),
+                lambda a: {"n": a.n, "regime": a.regime, "c": a.c, "delta": a.delta},
+                lambda a: asdict(exact.theoretical_targets(a.regime, a.n, c=a.c,
+                                                           delta=a.delta))),
+}
 
 
 def cmd_exact(args) -> int:
-    f = args.formula
-    if f == "path":
-        _need(args, "n", "k")
-        out = _rational_json(f, Fraction(exact.path_count(args.n, args.k)),
-                             {"m": args.n, "r": args.k})
-    elif f == "cycle":
-        _need(args, "n", "k")
-        out = _rational_json(f, Fraction(exact.cycle_count(args.n, args.k)),
-                             {"n": args.n, "k": args.k})
-    elif f == "lucas":
-        _need(args, "n")
-        out = _rational_json(f, Fraction(exact.lucas(args.n)), {"n": args.n})
-    elif f == "F":
-        _need(args, "n", "p")
-        out = _rational_json(f, exact.f_series(args.n, args.p),
-                             {"n": args.n, "p": _frac_str(args.p)})
-    elif f == "ESc":
-        _need(args, "n", "p")
-        out = _rational_json(f, exact.expected_missing_sums(args.n, args.p),
-                             {"n": args.n, "p": _frac_str(args.p)})
-        asym = exact.expected_missing_sums_asymptotic(args.n, args.p)
-        out["asymptotic_form"] = _frac_str(asym)
-    elif f == "PdiffMissing":
-        _need(args, "n", "p")
-        out = _rational_json(f, exact.prob_diff_missing(args.n, args.p),
-                             {"n": args.n, "p": _frac_str(args.p)})
-    elif f == "PdiffComposite":
-        _need(args, "n", "k", "p")
-        out = _rational_json(f, exact.prob_diff_missing_composite(args.n, args.k, args.p),
-                             {"n": args.n, "k": args.k, "p": _frac_str(args.p)})
-    elif f == "PbothSums":
-        _need(args, "n", "p")
-        out = _rational_json(f, exact.prob_both_sums_missing(args.n, args.p),
-                             {"n": args.n, "p": _frac_str(args.p)})
-    elif f == "EDc":
-        _need(args, "n", "p")
-        rec = exact.expected_missing_diffs(args.n, args.p)
-        out = _rational_json(f, rec.value, {"n": args.n, "p": _frac_str(args.p)})
-        out["bound_2nF"] = _frac_str(rec.bound)
-    elif f == "gauges":
-        _need(args, "n", "p")
-        g = exact.gauge_functions(args.n, args.p)
-        out = {"formula": f, "params": {"n": args.n, "p": str(args.p)},
-               "G": g.G, "h": g.h, "log_G": g.log_G, "log_h": g.log_h}
-    elif f == "targets":
-        _need(args, "n", "regime")
-        tg = exact.theoretical_targets(args.regime, args.n, c=args.c, delta=args.delta)
-        out = {"formula": f,
-               "params": {"n": args.n, "regime": args.regime, "c": args.c,
-                          "delta": args.delta},
-               "S_target": tg.S_target, "D_target": tg.D_target,
-               "ratio_target": tg.ratio_target}
-    else:  # pragma: no cover - choices guard this
-        raise ParameterError(f"unknown formula {f!r}")
-    print(json.dumps(out, indent=2))
+    flags, params, result = _EXACT[args.formula]
+    _need(args, f"formula {args.formula!r}", *flags)
+    print(json.dumps({"formula": args.formula, "params": params(args), **result(args)},
+                     indent=2))
     return EXIT_OK
 
 
@@ -347,6 +323,36 @@ def _comparison(name: str, oracle_value: Fraction, closed: Fraction,
     }
 
 
+def _diff_missing(a):
+    if a.n > 0 and a.k % a.n == 0:  # n < 1 is left to the oracle to reject
+        raise ParameterError("k must be a nonzero residue")
+    return graphs.event_diff_missing(a.k)
+
+
+def _sums_missing(a):
+    if a.n > 0 and (a.i - a.j) % a.n == 0:
+        raise ParameterError("the two target sums must differ")
+    return graphs.event_sums_missing(a.i, a.j)
+
+
+# event -> (required flags, its predicate, its closed form); a closed form is
+# (name, value, asserted) or None, and an asserted value counts A = empty
+_EVENTS = {
+    "diff-missing": (("k",), _diff_missing, lambda a: (
+        # prob_diff_missing counts nonempty A only
+        ("P(k not in A-A)", exact.prob_diff_missing(a.n, a.p) + (1 - a.p) ** a.n, True)
+        if is_prime(a.n) else
+        ("P(k not in A-A) [per-cycle-nonempty form; not asserted]",
+         exact.prob_diff_missing_composite(a.n, a.k, a.p), False))),
+    "sum-missing": (("i",), lambda a: graphs.event_sum_missing(a.i), lambda a: (
+        ("P(i not in A+A)", exact.expected_missing_sums(a.n, a.p) / a.n, True)
+        if a.n % 2 == 1 else None)),
+    "both-sums-missing": (("i", "j"), _sums_missing, lambda a: (
+        ("P(i,j not in A+A)", exact.prob_both_sums_missing(a.n, a.p), True)
+        if is_prime(a.n) else None)),
+}
+
+
 def cmd_oracle(args) -> int:
     n, p = args.n, args.p
     q = 1 - p
@@ -359,35 +365,15 @@ def cmd_oracle(args) -> int:
         if is_prime(n):
             closed_dc = (n - 1) * exact.prob_diff_missing(n, p) + n * q ** n
             comparisons.append(_comparison("E_Dc", mom.E_Dc, closed_dc, asserted=True))
-        out = {"n": n, "p": _frac_str(p), "moments": {
-            "E_Sc": _frac_str(mom.E_Sc), "E_Dc": _frac_str(mom.E_Dc),
-            "Var_Sc": _frac_str(mom.Var_Sc), "Var_Dc": _frac_str(mom.Var_Dc)},
-            "comparisons": comparisons}
+        out = {"n": n, "p": _frac_str(p),
+               "moments": {k: _frac_str(v) for k, v in asdict(mom).items()},
+               "comparisons": comparisons}
     elif args.event:
+        flags, predicate, closed_form = _EVENTS[args.event]
+        _need(args, args.event, *flags)
         include_empty = bool(args.include_empty)
-        # (name, closed form, asserted); an asserted form counts A = empty
-        comparison = None
-        if args.event == "diff-missing":
-            if args.k is None:
-                raise ParameterError("diff-missing needs --k")
-            event = graphs.event_diff_missing(args.k)
-            if is_prime(n):  # prob_diff_missing counts nonempty A only
-                comparison = ("P(k not in A-A)", exact.prob_diff_missing(n, p) + q ** n, True)
-            else:
-                comparison = ("P(k not in A-A) [per-cycle-nonempty form; not asserted]",
-                              exact.prob_diff_missing_composite(n, args.k, p), False)
-        elif args.event == "sum-missing":
-            if args.i is None:
-                raise ParameterError("sum-missing needs --i")
-            event = graphs.event_sum_missing(args.i)
-            if n % 2 == 1:
-                comparison = ("P(i not in A+A)", exact.expected_missing_sums(n, p) / n, True)
-        else:
-            if args.i is None or args.j is None:
-                raise ParameterError("both-sums-missing needs --i and --j")
-            event = graphs.event_sums_missing(args.i, args.j)
-            if is_prime(n):
-                comparison = ("P(i,j not in A+A)", exact.prob_both_sums_missing(n, p), True)
+        event = predicate(args)
+        comparison = closed_form(args)
         value = graphs.oracle_event_probability(n, p, event, include_empty_set=include_empty)
         if comparison is not None:
             name, closed, asserted = comparison
@@ -406,13 +392,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_graphs(args) -> int:
     if args.mode == "sum":
-        if args.i is None or args.j is None:
-            raise ParameterError("sum mode needs --i and --j")
+        _need(args, "sum mode", "i", "j")
         g = graphs.build_sum_graph(args.n, args.i, args.j)
         title = f"sum graph n={args.n} targets=({args.i},{args.j})"
     else:
-        if args.k is None:
-            raise ParameterError("diff mode needs --k")
+        _need(args, "diff mode", "k")
         g = graphs.build_diff_graph(args.n, args.k)
         title = f"difference graph n={args.n} k={args.k}"
     kind = g.kind

@@ -136,8 +136,10 @@ def f_series(n: int, p) -> Fraction:
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    _, b, _, _, u1 = _lucas_at(p, n)
-    return _over_power(u1, b, n)
+    # only U_{n+1} is needed, so the last doubling step forms it alone
+    a, b, d, u, u1 = _lucas_at(p, (n + 1) >> 1)
+    w = u1 * u1 + a * d * u * u if n % 2 == 0 else u * (2 * u1 - d * u)
+    return _over_power(w, b, n)
 
 
 def _f_series_reference(n: int, p) -> Fraction:
@@ -186,6 +188,8 @@ def expected_missing_sums(n: int, p) -> Fraction:
     """
     if n % 2 == 0:
         raise ParameterError("expected_missing_sums requires odd n")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
     p = _as_probability(p)
     return n * (1 - p) * (1 - p * p) ** ((n - 1) // 2)
 
@@ -198,6 +202,8 @@ def expected_missing_sums_asymptotic(n: int, p) -> Fraction:
     """
     if n % 2 == 0:
         raise ParameterError("expected_missing_sums_asymptotic requires odd n")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
     p = _as_probability(p)
     return n * (1 - p * p) ** ((n + 1) // 2)
 
@@ -299,6 +305,8 @@ def gauge_functions(n: int, p) -> GaugeValues:
     Their signs separate the slow-decay window (both -> -inf) from the
     intermediate window below sqrt(log n / n) (both -> +inf).
     """
+    if n < 1:
+        raise ParameterError("n must be >= 1")
     pf = float(p)
     if not 0 < pf < 1:
         raise ParameterError(f"gauge functions need 0 < p < 1, got {p!r}")

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import IO, Iterable
 
@@ -226,22 +226,10 @@ class SweepAggregate:
     mean_yk: tuple[float, ...] = ()
 
     def as_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "p": f"{self.p.numerator}/{self.p.denominator}",
-            "p_float": self.p_float,
-            "trials": self.trials,
-            "mean_card": self.mean_card,
-            "mean_S": self.mean_S, "var_S": self.var_S, "se_S": self.se_S,
-            "mean_D": self.mean_D, "var_D": self.var_D, "se_D": self.se_D,
-            "mean_Sc": self.mean_Sc, "mean_Dc": self.mean_Dc,
-            "frac_S_full": self.frac_S_full, "frac_D_full": self.frac_D_full,
-            "ratio_count": self.ratio_count, "mean_ratio": self.mean_ratio,
-            "var_ratio": self.var_ratio, "se_ratio": self.se_ratio,
-        }
-        if self.mean_xk:
-            d["mean_xk"] = list(self.mean_xk)
-            d["mean_yk"] = list(self.mean_yk)
+        """The fields in order, p as "num/den"; x_k/y_k only when collected (k_max > 0)."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if self.mean_xk or f.name not in ("mean_xk", "mean_yk")}
+        d["p"] = f"{self.p.numerator}/{self.p.denominator}"
         return d
 
 
@@ -357,9 +345,7 @@ class ReportRow:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {"n": self.n, "metric": self.metric, "empirical": self.empirical,
-                "target": self.target, "rel_error": self.rel_error,
-                "std_error": self.std_error, "note": self.note}
+        return asdict(self)
 
 
 def _rel(emp: float, target: float) -> float | None:

@@ -136,9 +136,9 @@ def multiplicity_profile(A: ResidueSet) -> MultiplicityProfile:
     pair_counts = _pair_counts_fft if _use_fft(idx.size, n) else _pair_counts_sparse
     ordered_sum, m_diff = pair_counts(n, idx)
     # unordered pairs: every {a,b} with a != b was counted twice, {a,a} once
-    diag = np.bincount((2 * idx) % n, minlength=n).astype(np.int64)
-    m_sum = (ordered_sum + diag) // 2
-    return MultiplicityProfile(n, m_sum, m_diff)
+    ordered_sum += np.bincount((2 * idx) % n, minlength=n)
+    ordered_sum //= 2
+    return MultiplicityProfile(n, ordered_sum, m_diff)
 
 
 def _k_sets_with_common_value(mult: np.ndarray, k: int) -> int:

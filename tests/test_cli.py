@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 
@@ -59,11 +60,70 @@ class TestSample:
         assert "error" in err
 
 
+# formula -> (flags, printed params, the library call it must print)
+EXACT_CASES = {
+    "path": (("--n", "10", "--k", "3"), {"m": 10, "r": 3}, lambda: exact.path_count(10, 3)),
+    "cycle": (("--n", "7", "--k", "2"), {"n": 7, "k": 2}, lambda: exact.cycle_count(7, 2)),
+    "lucas": (("--n", "10"), {"n": 10}, lambda: exact.lucas(10)),
+    "F": (("--n", "10", "--p", "1/3"), {"n": 10, "p": "1/3"},
+          lambda: exact.f_series(10, Fraction(1, 3))),
+    "ESc": (("--n", "9", "--p", "2/5"), {"n": 9, "p": "2/5"},
+            lambda: exact.expected_missing_sums(9, Fraction(2, 5))),
+    "PdiffMissing": (("--n", "11", "--p", "1/3"), {"n": 11, "p": "1/3"},
+                     lambda: exact.prob_diff_missing(11, Fraction(1, 3))),
+    "PdiffComposite": (("--n", "12", "--k", "3", "--p", "2/5"), {"n": 12, "k": 3, "p": "2/5"},
+                       lambda: exact.prob_diff_missing_composite(12, 3, Fraction(2, 5))),
+    "PbothSums": (("--n", "13", "--p", "0.25"), {"n": 13, "p": "1/4"},
+                  lambda: exact.prob_both_sums_missing(13, Fraction(1, 4))),
+    "EDc": (("--n", "7", "--p", "1/3"), {"n": 7, "p": "1/3"},
+            lambda: exact.expected_missing_diffs(7, Fraction(1, 3)).value),
+    "gauges": (("--n", "10007", "--p", "0.1"), {"n": 10007, "p": "1/10"},
+               lambda: exact.gauge_functions(10007, Fraction(1, 10))),
+    "targets": (("--regime", "fast", "--n", "1000", "--delta", "0.75"),
+                {"n": 1000, "regime": "fast", "c": None, "delta": 0.75},
+                lambda: exact.theoretical_targets("fast", 1000, delta=0.75)),
+}
+
+
 class TestExact:
     def get_json(self, capsys, *argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         return json.loads(out)
+
+    @pytest.mark.parametrize("formula", list(cli._EXACT))
+    def test_every_formula_prints_its_library_call(self, capsys, formula):
+        flags, params, call = EXACT_CASES[formula]
+        data = self.get_json(capsys, "exact", formula, *flags)
+        assert list(data)[:2] == ["formula", "params"]
+        assert data["formula"] == formula and data["params"] == params
+        value = call()
+        if isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+            assert data["numerator"] == str(value.numerator)
+            assert data["denominator"] == str(value.denominator)
+            assert data["value"] == float(value)
+        else:  # a dataclass prints its fields in order
+            assert list(data)[2:] == list(asdict(value))
+            assert {k: data[k] for k in asdict(value)} == asdict(value)
+
+    @pytest.mark.parametrize("argv, value", [
+        (("lucas", "--n", "1500"), lambda: exact.lucas(1500)),
+        (("path", "--n", "3000", "--k", "700"), lambda: exact.path_count(3000, 700)),
+        (("cycle", "--n", "4000", "--k", "900"), lambda: exact.cycle_count(4000, 900)),
+    ], ids=["lucas", "path", "cycle"])
+    def test_value_is_null_beyond_float_range(self, capsys, argv, value):
+        data = self.get_json(capsys, "exact", *argv)
+        assert data["value"] is None
+        assert (data["numerator"], data["denominator"]) == (str(value()), "1")
+
+    @pytest.mark.parametrize("argv", [("gauges", "--n", "0", "--p", "1/2"),
+                                      ("gauges", "--n", "-5", "--p", "1/2"),
+                                      ("ESc", "--n", "-3", "--p", "1/2")],
+                             ids=["gauges-0", "gauges-negative", "ESc-negative"])
+    def test_nonpositive_n_is_a_parameter_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "exact", *argv)
+        assert (code, out, err) == (1, "", "error: n must be >= 1\n")
 
     def test_lucas(self, capsys):
         data = self.get_json(capsys, "exact", "lucas", "--n", "10")
@@ -114,6 +174,18 @@ class TestExact:
     def test_missing_param(self, capsys):
         code, _, err = run_cli(capsys, "exact", "F", "--n", "10")
         assert code == 1 and "--p" in err
+        # every subcommand names exactly the flags that are missing
+        for argv, message in [
+            (("exact", "PdiffComposite", "--p", "1/2"), "formula 'PdiffComposite' needs --n, --k"),
+            (("oracle", "--n", "7", "--p", "1/2", "--event", "both-sums-missing", "--i", "1"),
+             "both-sums-missing needs --j"),
+            (("oracle", "--n", "7", "--p", "1/2", "--event", "both-sums-missing", "--j", "1"),
+             "both-sums-missing needs --i"),
+            (("graphs", "--n", "7", "--mode", "sum", "--j", "5"), "sum mode needs --i"),
+            (("graphs", "--n", "7", "--mode", "diff"), "diff mode needs --k"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_unknown_formula(self, capsys):
         code, _, _ = run_cli(capsys, "exact", "zeta", "--n", "2")
@@ -146,6 +218,63 @@ class TestOracle:
         assert data["include_empty_set"] is include_empty
         assert comp["asserted"] is True and comp["equal"] is True
         assert code == 0
+
+    @pytest.mark.parametrize("include_empty", [False, True])
+    @pytest.mark.parametrize("event", ["diff-missing", "sum-missing", "both-sums-missing"])
+    @pytest.mark.parametrize("n", [6, 8, 9])
+    def test_events_at_composite_moduli(self, capsys, n, event, include_empty):
+        p = Fraction(2, 5)
+        k, i, j = n // 3, 2, 5
+        flags = {"diff-missing": ("--k", str(k)), "sum-missing": ("--i", str(i)),
+                 "both-sums-missing": ("--i", str(i), "--j", str(j))}[event]
+        targets = {"diff-missing": (), "sum-missing": (i,), "both-sums-missing": (i, j)}[event]
+        empty = ("--include-empty",) if include_empty else ()
+        code, out, _ = run_cli(capsys, "oracle", "--n", str(n), "--p", "2/5",
+                               "--event", event, *flags, *empty)
+        data = json.loads(out)
+        assert code == 0
+
+        def holds(A):
+            if event == "diff-missing":
+                return all((a + k) % n not in A for a in A)
+            return all((t - a) % n not in A for t in targets for a in A)
+
+        masks = range(0 if include_empty else 1, 1 << n)
+        sets = ({a for a in range(n) if mask >> a & 1} for mask in masks)
+        brute = sum((p ** len(A) * (1 - p) ** (n - len(A)) for A in sets if holds(A)),
+                    Fraction(0))
+        assert data["oracle"] == f"{brute.numerator}/{brute.denominator}"
+        comps = data["comparisons"]
+        if event == "diff-missing":  # the per-cycle-nonempty form, reported only
+            (comp,) = comps
+            closed = exact.prob_diff_missing_composite(n, k, p)
+            assert comp["asserted"] is False and comp["equal"] is False
+            assert comp["closed_form"] == f"{closed.numerator}/{closed.denominator}"
+        elif event == "sum-missing" and n % 2 == 1:
+            (comp,) = comps
+            assert comp["asserted"] is True and comp["equal"] is True
+        else:  # no closed form at even n (one sum) or composite n (two sums)
+            assert comps == []
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("flags, message", [
+        (("diff-missing", "--k", "0"), "k must be a nonzero residue"),
+        (("diff-missing", "--k", "{n}"), "k must be a nonzero residue"),
+        (("both-sums-missing", "--i", "2", "--j", "{n2}"), "the two target sums must differ"),
+    ], ids=["k=0", "k=n", "j=i+n"])
+    def test_zero_difference_and_equal_targets_rejected(self, capsys, n, flags, message):
+        flags = [f.format(n=n, n2=n + 2) for f in flags]
+        code, out, err = run_cli(capsys, "oracle", "--n", str(n), "--p", "1/3",
+                                 "--event", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [("diff-missing", "--k", "1"), ("sum-missing", "--i", "1"),
+                                       ("both-sums-missing", "--i", "1", "--j", "2")],
+                             ids=lambda flags: flags[0])
+    def test_nonpositive_n_is_a_parameter_error(self, capsys, flags):
+        for n in ("0", "-3"):
+            code, out, err = run_cli(capsys, "oracle", "--n", n, "--p", "1/2", "--event", *flags)
+            assert (code, out) == (1, "") and err.startswith("error: n must be >= ")
 
     def test_diff_missing_composite_not_asserted(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "6", "--p", "1/2",

@@ -202,6 +202,12 @@ class TestMissingSums:
         with pytest.raises(ParameterError):
             expected_missing_sums(8, Fraction(1, 2))
 
+    @pytest.mark.parametrize("n", [-1, -3, -7])
+    def test_negative_odd_n_rejected(self, n):
+        for form in (expected_missing_sums, expected_missing_sums_asymptotic):
+            with pytest.raises(ParameterError, match="n must be >= 1"):
+                form(n, Fraction(1, 2))
+
     @pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
     @pytest.mark.parametrize("p", P_GRID)
     def test_equals_enumeration(self, n, p):
@@ -321,6 +327,9 @@ class TestGauges:
     def test_domain(self):
         with pytest.raises(ParameterError):
             gauge_functions(100, 0.0)
+        for n in (0, -5):
+            with pytest.raises(ParameterError, match="n must be >= 1"):
+                gauge_functions(n, 0.5)
 
 
 class TestTargets:

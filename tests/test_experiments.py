@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -219,3 +220,18 @@ class TestReports:
         assert d["config"] == {"x": 1}
         assert d["aggregates"][0]["n"] == 101
         assert any(row["metric"] == "frac_S_full" for row in d["comparisons"])
+        # the v1 key order; x_k/y_k means only when k_max > 0
+        keys = ["n", "p", "p_float", "trials", "mean_card", "mean_S", "var_S", "se_S",
+                "mean_D", "var_D", "se_D", "mean_Sc", "mean_Dc", "frac_S_full",
+                "frac_D_full", "ratio_count", "mean_ratio", "var_ratio", "se_ratio"]
+        p = realized_p(spec, 101)
+        assert list(d["aggregates"][0]) == keys
+        assert d["aggregates"][0]["p"] == f"{p.numerator}/{p.denominator}"
+        assert list(d["comparisons"][0]) == ["n", "metric", "empirical", "target",
+                                             "rel_error", "std_error", "note"]
+        spec = RegimeSpec(regime="fixed", n_values=(101,), trials=4, base_seed=3,
+                          p_fixed=Fraction(1), k_max=2)
+        res = run_sweep(spec)
+        (agg,) = json.loads(json.dumps(report_as_dict(res, spec)))["aggregates"]
+        assert list(agg) == keys + ["mean_xk", "mean_yk"] and agg["p"] == "1/1"
+        assert agg["mean_xk"] == list(res.aggregates[0].mean_xk) and len(agg["mean_yk"]) == 2
