@@ -12,7 +12,6 @@ from fractions import Fraction
 from modsetlab import (
     build_diff_graph,
     build_sum_graph,
-    classify,
     event_diff_missing,
     event_sums_missing,
     oracle_event_probability,
@@ -25,7 +24,7 @@ from modsetlab import (
 
 
 def describe(g):
-    k = classify(g)
+    k = g.kind
     if k.kind == "path_with_end_loops":
         return f"path with end loops at {list(k.loop_vertices)}"
     if k.kind == "single_cycle":

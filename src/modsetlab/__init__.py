@@ -17,27 +17,23 @@ from .sets import (
 )
 from .multiplicity import (
     MultiplicityProfile,
-    expected_x_k,
     expected_x_k_exact,
     expected_y_k_exact,
     inclusion_exclusion_size,
     multiplicity_profile,
     x_k,
-    xi_counts,
     y_k,
 )
 from .exact import (
     GaugeValues,
     MissingDiffExpectation,
     Targets,
-    binomial,
     cycle_count,
     expected_missing_diffs,
     expected_missing_sums,
     expected_missing_sums_asymptotic,
     f_series,
     gauge_functions,
-    gauge_g_squared_exact,
     lucas,
     path_count,
     prob_both_sums_missing,
@@ -51,13 +47,10 @@ from .graphs import (
     PairGraph,
     build_diff_graph,
     build_sum_graph,
-    classify,
     event_diff_missing,
     event_sum_missing,
     event_sums_missing,
-    independence_event_holds,
     oracle_event_probability,
-    oracle_mean,
     oracle_moments,
 )
 from .experiments import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -306,7 +307,10 @@ _EXACT = {
 def cmd_exact(args) -> int:
     flags, params, result = _EXACT[args.formula]
     _need(args, f"formula {args.formula!r}", *flags)
-    print(json.dumps({"formula": args.formula, "params": params(args), **result(args)},
+    # strict JSON has no Infinity or NaN: beyond float range prints null, like "value"
+    fields = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in result(args).items()}
+    print(json.dumps({"formula": args.formula, "params": params(args), **fields},
                      indent=2))
     return EXIT_OK
 

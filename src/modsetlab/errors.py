@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+__all__ = ["ParameterError", "ResourceLimitError"]
+
 
 class ParameterError(ValueError):
     """A parameter is outside its documented domain (bad p, n, regime, ...)."""

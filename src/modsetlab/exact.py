@@ -3,7 +3,7 @@
 Everything here is arbitrary-precision: probabilities are Fractions and the
 combinatorial counts are Python integers.  Floating point appears only in the
 log-domain gauge functions and in the regime targets, where the quantities are
-compared against Monte Carlo output.  binomial(a, b) = 0 whenever b < 0,
+compared against Monte Carlo output.  _binomial(a, b) = 0 whenever b < 0,
 b > a, or a < 0, which makes every series below total without case splits.
 
 The series F(n), P(k not in A-A) (cycles) and P(i, j not in A+A) (a path)
@@ -20,7 +20,6 @@ from fractions import Fraction
 from .errors import ParameterError
 
 __all__ = [
-    "binomial",
     "path_count",
     "cycle_count",
     "lucas",
@@ -33,14 +32,13 @@ __all__ = [
     "expected_missing_diffs",
     "MissingDiffExpectation",
     "gauge_functions",
-    "gauge_g_squared_exact",
     "GaugeValues",
     "theoretical_targets",
     "Targets",
 ]
 
 
-def binomial(a: int, b: int) -> int:
+def _binomial(a: int, b: int) -> int:
     """C(a, b) with the total convention: 0 outside 0 <= b <= a."""
     if b < 0 or a < 0 or b > a:
         return 0
@@ -54,6 +52,17 @@ def _as_probability(p) -> Fraction:
     return f
 
 
+def _float_n(n: int) -> float:
+    """float(n) for n >= 1, so that the gauges and targets raise a ParameterError
+    rather than an OverflowError for n beyond float range (about 1.8e308)."""
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    try:
+        return float(n)
+    except OverflowError:
+        raise ParameterError("n is beyond float range") from None
+
+
 def path_count(m: int, r: int) -> int:
     """Number of r-subsets of a path of m vertices with no two adjacent.
 
@@ -61,7 +70,7 @@ def path_count(m: int, r: int) -> int:
     """
     if m < 0 or r < 0:
         raise ParameterError("m and r must be nonnegative")
-    return binomial(m - r + 1, r)
+    return _binomial(m - r + 1, r)
 
 
 def cycle_count(n: int, k: int) -> int:
@@ -74,7 +83,7 @@ def cycle_count(n: int, k: int) -> int:
         raise ParameterError("cycle needs n >= 2")
     if k < 0:
         raise ParameterError("k must be nonnegative")
-    return binomial(n - k + 1, k) - binomial(n - k - 1, k - 2)
+    return _binomial(n - k + 1, k) - _binomial(n - k - 1, k - 2)
 
 
 def lucas(n: int) -> int:
@@ -140,14 +149,6 @@ def f_series(n: int, p) -> Fraction:
     a, b, d, u, u1 = _lucas_at(p, (n + 1) >> 1)
     w = u1 * u1 + a * d * u * u if n % 2 == 0 else u * (2 * u1 - d * u)
     return _over_power(w, b, n)
-
-
-def _f_series_reference(n: int, p) -> Fraction:
-    """Direct term-by-term sum; cross-validation for f_series."""
-    p = _as_probability(p)
-    q = 1 - p
-    return sum((binomial(n - r, r) * p ** r * q ** (n - r)
-                for r in range(0, n // 2 + 1)), Fraction(0))
 
 
 def f_series_log(n: int, p) -> float:
@@ -305,13 +306,12 @@ def gauge_functions(n: int, p) -> GaugeValues:
     Their signs separate the slow-decay window (both -> -inf) from the
     intermediate window below sqrt(log n / n) (both -> +inf).
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    nf = _float_n(n)
     pf = float(p)
     if not 0 < pf < 1:
         raise ParameterError(f"gauge functions need 0 < p < 1, got {p!r}")
-    log_g = math.log(n) + 0.5 * n * math.log1p(-pf * pf)
-    log_h = math.log(2.0) + 4.0 * math.log(n) + n * (pf + math.log1p(-pf))
+    log_g = math.log(nf) + 0.5 * nf * math.log1p(-pf * pf)
+    log_h = math.log(2.0) + 4.0 * math.log(nf) + nf * (pf + math.log1p(-pf))
     return GaugeValues(G=_safe_exp(log_g), h=_safe_exp(log_h),
                        log_G=log_g, log_h=log_h)
 
@@ -321,18 +321,6 @@ def _safe_exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def gauge_g_squared_exact(n: int, p) -> Fraction:
-    """Exact G(n)^2 = n^2 (1 - p^2)^n, the rational cross-check for log_G.
-
-    (G itself involves a half power, so the square is the exact object.)
-    Intended for n up to ~2*10^4; cost grows with denom(p)^n.
-    """
-    p = _as_probability(p)
-    if not 0 < p < 1:
-        raise ParameterError("need 0 < p < 1")
-    return n * n * (1 - p * p) ** n
 
 
 @dataclass(frozen=True)
@@ -355,21 +343,20 @@ def theoretical_targets(regime: str, n: int, *, c: float | None = None,
     The critical difference-set target is n(1 - exp(-c^2)), the form that the
     alternating series and the ratio law 1 + exp(-c^2/2) both agree with.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    nf = _float_n(n)
     if regime == "fast":
         if delta is None or not delta > 0.5:
             raise ParameterError("fast regime needs delta > 1/2")
-        np_ = n ** (1.0 - delta)
+        np_ = nf ** (1.0 - delta)
         return Targets(0.5 * np_ * np_, np_ * np_, 2.0)
     if regime == "critical":
         if c is None or not c > 0:
             raise ParameterError("critical regime needs c > 0")
         e_half = math.exp(-0.5 * c * c)
         e_full = math.exp(-c * c)
-        return Targets(n * (1.0 - e_half), n * (1.0 - e_full), 1.0 + e_half)
+        return Targets(nf * (1.0 - e_half), nf * (1.0 - e_full), 1.0 + e_half)
     if regime == "slow":
         if delta is not None and not 0 < delta < 0.5:
             raise ParameterError("slow regime needs 0 < delta < 1/2")
-        return Targets(float(n), float(n), 1.0)
+        return Targets(nf, nf, 1.0)
     raise ParameterError(f"unknown regime {regime!r} (expected fast/critical/slow)")

@@ -18,15 +18,16 @@ predicates are the negation and rotation kernel of `sets` (`_neg`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .exact import _as_probability, _over_power
-from .sets import ResidueSet, _neg, _or_rotations, _rotl
+from .sets import _neg, _or_rotations, _rotl
 
 ORACLE_MAX_N_EVENTS = 22  # masks are uint32, so both caps must stay below 32
 ORACLE_MAX_N_MOMENTS = 18
@@ -36,13 +37,10 @@ __all__ = [
     "Classification",
     "build_sum_graph",
     "build_diff_graph",
-    "classify",
-    "independence_event_holds",
     "event_diff_missing",
     "event_sum_missing",
     "event_sums_missing",
     "oracle_event_probability",
-    "oracle_mean",
     "oracle_moments",
     "OracleMoments",
 ]
@@ -62,11 +60,11 @@ class PairGraph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    kind: Classification | None = field(compare=False, default=None)
 
-    def __post_init__(self):
-        if self.kind is None:
-            object.__setattr__(self, "kind", _classify(self.n, self.edges))
+    @cached_property
+    def kind(self) -> Classification:
+        """Structural classification from degrees and connectivity alone."""
+        return _classify(self.n, self.edges)
 
 
 def _normalize_edges(pairs) -> tuple[tuple[int, int], ...]:
@@ -156,22 +154,6 @@ def _classify(n: int, edges: tuple[tuple[int, int], ...]) -> Classification:
     return Classification("other", loop_vertices=loops)
 
 
-def classify(g: PairGraph) -> Classification:
-    """Structural classification from degrees and connectivity alone."""
-    return _classify(g.n, g.edges)
-
-
-def independence_event_holds(A: ResidueSet, g: PairGraph) -> bool:
-    """True iff no edge of g has both endpoints in A (a loop at v forbids v)."""
-    if A.n != g.n:
-        raise ParameterError("set and graph moduli differ")
-    m = A.mask
-    for a, b in g.edges:
-        if (m >> a) & 1 and (m >> b) & 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration oracle
 
@@ -238,17 +220,6 @@ def oracle_event_probability(n: int, p, event: Callable,
     for masks in _mask_chunks(n, 0 if include_empty_set else 1):
         counts += np.bincount(_popcount(masks[event(masks, n)]), minlength=n + 1)
     return _weigh(counts, p, n)
-
-
-def oracle_mean(n: int, p, statistic: Callable[[int, int], int]) -> Fraction:
-    """Exact E[statistic(A)] over all 2^n subsets, calling the integer-valued
-    ``statistic(mask, n)`` (arbitrary user code) once per mask on a Python int."""
-    _check_oracle_n(n, ORACLE_MAX_N_MOMENTS)
-    p = _as_probability(p)
-    sums = [0] * (n + 1)
-    for mask in range(1 << n):
-        sums[mask.bit_count()] += statistic(mask, n)
-    return _weigh(sums, p, n)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,6 @@ __all__ = [
     "x_k",
     "y_k",
     "inclusion_exclusion_size",
-    "xi_counts",
-    "expected_x_k",
     "expected_x_k_exact",
     "expected_y_k_exact",
 ]
@@ -176,32 +174,6 @@ def inclusion_exclusion_size(profile: MultiplicityProfile, side: str) -> int:
     else:
         raise ParameterError(f"side must be 'sum' or 'difference', got {side!r}")
     return int(np.count_nonzero(mult))
-
-
-def xi_counts(n: int, k: int) -> tuple[int, int]:
-    """(n * C(ceil(n/2), k), n * C(ceil(n/2), k-1)): tuple counts by type.
-
-    First entry: k-tuples of representation slots with all elements distinct;
-    second: tuples where one slot is a repeated element.  Intended for odd n,
-    where each residue has exactly ceil(n/2) representations as a sum.
-    """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    m = (n + 1) // 2
-    return n * comb(m, k), n * comb(m, k - 1)
-
-
-def expected_x_k(n: int, p, k: int) -> Fraction:
-    """First-order expected X_k: xi1 * p^(2k) + xi2 * p^(2k-1).
-
-    This is an asymptotic accounting: the repeated-element slot {a, a} is
-    double-counted between the two tuple types, so for instance at p = 1 and
-    k = 1 it returns n(n+1)/2 + n while the realized X_1 of the full set is
-    n(n+1)/2.  See expected_x_k_exact for the exact expectation.
-    """
-    p = _as_probability(p)
-    xi1, xi2 = xi_counts(n, k)
-    return xi1 * p ** (2 * k) + xi2 * p ** (2 * k - 1)
 
 
 def expected_x_k_exact(n: int, p, k: int) -> Fraction:

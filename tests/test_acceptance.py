@@ -51,7 +51,7 @@ from modsetlab import (
     theoretical_targets,
 )
 from modsetlab.exact import f_series_log
-from modsetlab.graphs import build_diff_graph, build_sum_graph, classify
+from modsetlab.graphs import build_diff_graph, build_sum_graph
 
 SEED = 20260810
 PRIMES_13 = (2, 3, 5, 7, 11, 13)
@@ -282,14 +282,14 @@ def test_criterion_9_graph_structure():
     for n in (2, 3, 5, 7, 11, 13, 17, 19):
         for i in range(n):
             for j in range(i + 1, n):
-                assert classify(build_sum_graph(n, i, j)).kind == "path_with_end_loops"
+                assert build_sum_graph(n, i, j).kind.kind == "path_with_end_loops"
         for k in range(1, n):
-            kind = classify(build_diff_graph(n, k))
+            kind = build_diff_graph(n, k).kind
             assert kind.kind == "single_cycle" and kind.cycle_length == n
     for n in range(2, 19):
         for k in range(1, n):
             d = math.gcd(n, k)
-            kind = classify(build_diff_graph(n, k))
+            kind = build_diff_graph(n, k).kind
             if d == 1:
                 assert (kind.kind, kind.cycle_length) == ("single_cycle", n)
             else:

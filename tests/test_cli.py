@@ -20,6 +20,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 class TestSample:
     def test_full_inclusion(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--n", "7", "--p", "1",
@@ -89,7 +93,7 @@ class TestExact:
     def get_json(self, capsys, *argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        return json.loads(out)
+        return json.loads(out, parse_constant=_not_json)  # strict: no Infinity or NaN
 
     @pytest.mark.parametrize("formula", list(cli._EXACT))
     def test_every_formula_prints_its_library_call(self, capsys, formula):
@@ -117,13 +121,26 @@ class TestExact:
         assert data["value"] is None
         assert (data["numerator"], data["denominator"]) == (str(value()), "1")
 
-    @pytest.mark.parametrize("argv", [("gauges", "--n", "0", "--p", "1/2"),
-                                      ("gauges", "--n", "-5", "--p", "1/2"),
-                                      ("ESc", "--n", "-3", "--p", "1/2")],
-                             ids=["gauges-0", "gauges-negative", "ESc-negative"])
-    def test_nonpositive_n_is_a_parameter_error(self, capsys, argv):
+    def test_gauge_beyond_float_range_is_null(self, capsys):
+        data = self.get_json(capsys, "exact", "gauges", "--n", str(10 ** 83), "--p", "1e-90")
+        assert data["h"] is None
+        assert data["log_h"] == pytest.approx(765.1514, abs=1e-4)  # log 2 + 4 log n
+        assert data["G"] == pytest.approx(1e83)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gauges", "--n", "0", "--p", "1/2"), "n must be >= 1"),
+        (("gauges", "--n", "-5", "--p", "1/2"), "n must be >= 1"),
+        (("ESc", "--n", "-3", "--p", "1/2"), "n must be >= 1"),
+        (("targets", "--regime", "slow", "--n", str(10 ** 400)), "n is beyond float range"),
+        (("targets", "--regime", "critical", "--c", "1", "--n", str(10 ** 400)),
+         "n is beyond float range"),
+        (("gauges", "--n", str(10 ** 400), "--p", "1/3"), "n is beyond float range"),
+    ], ids=["gauges-0", "gauges-negative", "ESc-negative",
+            "targets-slow-huge", "targets-critical-huge", "gauges-huge"])
+    def test_nonpositive_n_is_a_parameter_error(self, capsys, argv, message):
+        # n beyond float range is rejected like n < 1: the gauges and targets are floats
         code, out, err = run_cli(capsys, "exact", *argv)
-        assert (code, out, err) == (1, "", "error: n must be >= 1\n")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_lucas(self, capsys):
         data = self.get_json(capsys, "exact", "lucas", "--n", "10")
