@@ -6,9 +6,12 @@ log-domain gauge functions and in the regime targets, where the quantities are
 compared against Monte Carlo output.  _binomial(a, b) = 0 whenever b < 0,
 b > a, or a < 0, which makes every series below total without case splits.
 
-The series F(n), P(k not in A-A) (cycles) and P(i, j not in A+A) (a path)
-are independent-set polynomials: each is one value of the Lucas sequence
-`_lucas_u`, divided by b^n once at the end (`_over_power`, gcd-free for dyadic p).
+The series F(n) (a path) and P(k not in A-A) (cycles) are independent-set
+polynomials: each is one value of the Lucas sequence `_lucas_u`, divided by
+b^n once at the end (`_over_power`, gcd-free for dyadic p).  Every other
+pair-graph weight is an identity on these two: P(i, j not in A+A) is
+(1-p) F(n-1), and P(k not in A-A) for k coprime to n is the g = 1 case of the
+g-cycle form.
 """
 
 from __future__ import annotations
@@ -63,6 +66,39 @@ def _float_n(n: int) -> float:
         raise ParameterError("n is beyond float range") from None
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, valid for all n < 2^64 (and well beyond 3*10^24)."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _check_finite(**params: float | None) -> None:
+    """Reject an infinite or NaN regime parameter: no p, target or JSON field holds one."""
+    for name, value in params.items():
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
 def path_count(m: int, r: int) -> int:
     """Number of r-subsets of a path of m vertices with no two adjacent.
 
@@ -102,9 +138,8 @@ def _lucas_u(P: int, Q: int, n: int) -> tuple[int, int]:
 
     For p = a/b, d = b - a, P = d and Q = -a d (the transfer matrix
     [[d, a], [d, 0]], weight a per vertex in A and d per vertex outside):
-    b^m F(m) = U_{m+1}; b^m P(independent on the m-cycle) = V_m =
-    2 U_{m+1} - d U_m, the trace of the m-th power; and b^m P(independent on
-    the m-vertex path) = U_{m+1} + a U_m.
+    b^m F(m) = U_{m+1}, and b^m P(independent on the m-cycle) = V_m =
+    2 U_{m+1} - d U_m, the trace of the m-th power.
     """
     u, u1 = 0, 1
     for bit in bin(n)[2:]:
@@ -198,19 +233,14 @@ def expected_missing_sums(n: int, p) -> Fraction:
 def expected_missing_sums_asymptotic(n: int, p) -> Fraction:
     """The first-order form n (1 - p^2)^((n+1)/2).
 
-    Equals (1+p) times the exact expectation: asymptotically equivalent as
+    It is (1+p) times the exact expectation: asymptotically equivalent as
     p -> 0 but not equal to the enumeration value at fixed (n, p).
     """
-    if n % 2 == 0:
-        raise ParameterError("expected_missing_sums_asymptotic requires odd n")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    p = _as_probability(p)
-    return n * (1 - p * p) ** ((n + 1) // 2)
+    return expected_missing_sums(n, p) * (1 + Fraction(p))
 
 
 def prob_diff_missing(n: int, p) -> Fraction:
-    """P(k not in A-A) for prime n and any fixed k != 0, conditioned on A nonempty.
+    """P(k not in A-A) for any k coprime to n (any k != 0 at prime n), A nonempty.
 
     A misses the difference k exactly when A is independent in the n-cycle
     obtained by joining a to a+k, so the probability is the weighted count of
@@ -219,13 +249,10 @@ def prob_diff_missing(n: int, p) -> Fraction:
         sum_{r=1}^{floor(n/2)} [C(n-r+1, r) - C(n-r-1, r-2)] p^r (1-p)^(n-r).
 
     Starting at r = 1 excludes the empty set; adding (1-p)^n (the r = 0 term)
-    recovers the unconditioned probability over all subsets.  Computed as
-    (V_n - d^n) / b^n, see `_lucas_u`.
+    recovers the unconditioned probability over all subsets.  This is the
+    g = 1 case of `prob_diff_missing_composite`.
     """
-    if n < 2:
-        raise ParameterError("n must be >= 2")
-    _, b, d, u, u1 = _lucas_at(p, n)
-    return _over_power(2 * u1 - d * u - d ** n, b, n)
+    return prob_diff_missing_composite(n, 1, p)
 
 
 def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
@@ -235,9 +262,9 @@ def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
     m = n/g, and the formula conditions each cycle on a nonempty intersection:
     (prob_diff_missing(m, p))^g, computed as (V_m - d^m)^g / b^n.
 
-    For prime n (g = 1) this equals prob_diff_missing.  For composite n the
-    per-cycle nonemptiness makes it deviate from the enumerated probability;
-    it is reported, not asserted, against the oracle.
+    For g = 1 this is prob_diff_missing.  For g > 1 the per-cycle
+    nonemptiness makes it deviate from the enumerated probability; it is
+    reported, not asserted, against the oracle.
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
@@ -254,16 +281,15 @@ def prob_both_sums_missing(n: int, p) -> Fraction:
 
     The pair graph on the two target sums is a path of n vertices with a loop
     on each endpoint: the endpoints must stay out of A (factor (1-p)^2) and
-    the n-2 interior vertices must form an independent set of the path:
+    the n-2 interior vertices must form an independent set of the path.
+    Since F(m) = (1-p) P(independent on the (m-1)-vertex path),
 
-        (1-p)^2 * sum_r C(n-2-r+1, r) p^r (1-p)^(n-2-r),
-
-    computed as d^2 (U_{n-1} + a U_{n-2}) / b^n, see `_lucas_u`.
+        P = (1-p)^2 P(independent on the (n-2)-vertex path) = (1-p) F(n-1).
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
-    a, b, d, u, u1 = _lucas_at(p, n - 2)
-    return _over_power(d * d * (u1 + a * u), b, n)
+    p = _as_probability(p)
+    return (1 - p) * f_series(n - 1, p)
 
 
 @dataclass(frozen=True)
@@ -278,8 +304,11 @@ def expected_missing_diffs(n: int, p) -> MissingDiffExpectation:
     """E[D^c] = (n-1) P(k not in A-A) for prime n, with the bound 2 n F(n).
 
     The returned record carries both the exact value and the bound; the
-    value never exceeds the bound.
+    value never exceeds the bound.  Composite n is rejected: there the k with
+    gcd(n, k) > 1 split the difference graph into several cycles.
     """
+    if n >= 2 and not is_prime(n):
+        raise ParameterError(f"E[D^c] closed form needs prime n, got {n}")
     value = (n - 1) * prob_diff_missing(n, p)
     bound = 2 * n * f_series(n, p)
     if value > bound:
@@ -344,6 +373,7 @@ def theoretical_targets(regime: str, n: int, *, c: float | None = None,
     alternating series and the ratio law 1 + exp(-c^2/2) both agree with.
     """
     nf = _float_n(n)
+    _check_finite(c=c, delta=delta)
     if regime == "fast":
         if delta is None or not delta > 0.5:
             raise ParameterError("fast regime needs delta > 1/2")

@@ -19,6 +19,7 @@ from typing import IO, Iterable
 
 from . import exact
 from .errors import ParameterError
+from .exact import is_prime
 from .multiplicity import inclusion_exclusion_size, multiplicity_profile, x_k, y_k
 from .sets import SampleSpec, difference_set, dyadic64, sample_subset, sumset
 
@@ -44,32 +45,6 @@ __all__ = [
     "report_as_dict",
 ]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 2^64 (and well beyond 3*10^24)."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def next_prime(n: int) -> int:
     """Smallest prime >= n."""
     if n < 2:
@@ -90,6 +65,8 @@ class RegimeSpec:
       slow         p = n^-delta, 0 < delta < 1/2
       intermediate p = gamma * sqrt(log n / n), gamma > 0
       fixed        p = p_fixed in [0, 1]
+
+    delta, c and gamma must be finite even where ignored: the config records them.
     """
 
     regime: str
@@ -116,6 +93,7 @@ class RegimeSpec:
             raise ParameterError("k_max must be >= 0")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
+        exact._check_finite(delta=self.delta, c=self.c, gamma=self.gamma)
         if self.regime == "fast" and (self.delta is None or not self.delta > 0.5):
             raise ParameterError("fast regime needs delta > 1/2")
         if self.regime == "slow" and (self.delta is None or not 0 < self.delta < 0.5):
@@ -166,9 +144,11 @@ class TrialRecord:
 
 
 def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
-              k_max: int = 0, spot_check: bool = False) -> TrialRecord:
-    """Sample trial `trial_index` and measure its set sizes (and x_k/y_k if asked)."""
+              k_max: int = 0) -> TrialRecord:
+    """Sample trial `trial_index` and measure its set sizes (and x_k/y_k if asked);
+    trials 0, SPOT_CHECK_EVERY, ... also check both sizes by inclusion-exclusion."""
     A = sample_subset(SampleSpec(n=n, p=p, base_seed=base_seed, trial_index=trial_index))
+    spot_check = trial_index % SPOT_CHECK_EVERY == 0
     s = sumset(A).cardinality
     d = difference_set(A).cardinality
     xk: tuple[int, ...] = ()
@@ -179,12 +159,10 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
             xk = tuple(x_k(profile, k) for k in range(1, k_max + 1))
             yk = tuple(y_k(profile, k) for k in range(1, k_max + 1))
         if spot_check:
-            if inclusion_exclusion_size(profile, "sum") != s:
-                raise AssertionError(f"inclusion-exclusion mismatch for sums "
-                                     f"(n={n}, trial={trial_index})")
-            if inclusion_exclusion_size(profile, "difference") != d:
-                raise AssertionError(f"inclusion-exclusion mismatch for differences "
-                                     f"(n={n}, trial={trial_index})")
+            for kind, size in (("sum", s), ("difference", d)):
+                if inclusion_exclusion_size(profile, kind) != size:
+                    raise AssertionError(f"inclusion-exclusion mismatch for {kind}s "
+                                         f"(n={n}, trial={trial_index})")
     return TrialRecord(
         n=n, p=p, p_float=float(p), trial_index=trial_index, card=A.cardinality,
         S=s, D=d, S_missing=n - s, D_missing=n - d,
@@ -194,9 +172,7 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
 
 def _run_chunk(args) -> list[TrialRecord]:
     n, p, base_seed, start, stop, k_max = args
-    return [run_trial(n, p, base_seed, t, k_max,
-                      spot_check=(t % SPOT_CHECK_EVERY == 0))
-            for t in range(start, stop)]
+    return [run_trial(n, p, base_seed, t, k_max) for t in range(start, stop)]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ predicates are the negation and rotation kernel of `sets` (`_neg`,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,14 +76,9 @@ def build_sum_graph(n: int, i: int, j: int) -> PairGraph:
     """Edges {a, b} with a+b = i or a+b = j (mod n); a loop at v means 2v hits a target."""
     if n < 2:
         raise ParameterError("n must be >= 2")
-    i %= n
-    j %= n
-    if i == j:
+    if (i - j) % n == 0:
         raise ParameterError("the two target sums must differ")
-    pairs = []
-    for s in (i, j):
-        pairs.extend((a, (s - a) % n) for a in range(n))
-    return PairGraph(n, _normalize_edges(pairs))
+    return PairGraph(n, _normalize_edges((a, (s - a) % n) for s in (i, j) for a in range(n)))
 
 
 def build_diff_graph(n: int, k: int) -> PairGraph:
@@ -91,66 +87,38 @@ def build_diff_graph(n: int, k: int) -> PairGraph:
         raise ParameterError("n must be >= 2")
     if k % n == 0:
         raise ParameterError("k must be a nonzero residue")
-    k %= n
     return PairGraph(n, _normalize_edges((a, (a + k) % n) for a in range(n)))
 
 
 def _classify(n: int, edges: tuple[tuple[int, int], ...]) -> Classification:
     loops = tuple(sorted(a for a, b in edges if a == b))
     simple = [(a, b) for a, b in edges if a != b]
+    root = list(range(n))  # union-find forest over the loop-free graph
 
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    degree = [0] * n
     for a, b in simple:
-        adj[a].append(b)
-        adj[b].append(a)
+        degree[a] += 1
+        degree[b] += 1
+        root[find(a)] = find(b)
+    sizes = list(Counter(map(find, range(n))).values())  # component sizes
 
-    # connected components of the loop-free graph
-    seen = [False] * n
-    components: list[tuple[list[int], int]] = []  # (vertices, edge count)
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        verts = []
-        while stack:
-            v = stack.pop()
-            verts.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        ecount = sum(len(adj[v]) for v in verts) // 2
-        components.append((verts, ecount))
+    # one component, a path of all n vertices with loops exactly at its two ends
+    if (len(loops) == 2 and len(sizes) == 1 and len(simple) == n - 1
+            and max(degree, default=0) <= 2
+            and [v for v in range(n) if degree[v] <= 1] == list(loops)):
+        return Classification("path_with_end_loops", loop_vertices=loops)
 
-    degrees = {v: len(adj[v]) for v in range(n)}
-
-    # path of all n vertices with loops exactly at its two endpoints
-    if (len(loops) == 2 and len(components) == 1 and len(simple) == n - 1
-            and max(degrees.values(), default=0) <= 2):
-        ends = tuple(sorted(v for v in range(n) if degrees[v] <= 1))
-        if len(ends) == 2 and set(ends) == set(loops):
-            return Classification("path_with_end_loops", loop_vertices=loops)
-
-    # disjoint union of equal-length cycles (a 2-vertex component with one
-    # edge is the collapsed double edge of a 2-cycle)
-    if not loops and components:
-        lengths = set()
-        for verts, ecount in components:
-            m = len(verts)
-            if m >= 3 and ecount == m and all(degrees[v] == 2 for v in verts):
-                lengths.add(m)
-            elif m == 2 and ecount == 1:
-                lengths.add(2)
-            else:
-                lengths.add(-1)
-        if len(lengths) == 1 and -1 not in lengths:
-            length = lengths.pop()
-            count = len(components)
-            if count == 1:
-                return Classification("single_cycle", cycle_count=1, cycle_length=length)
-            return Classification("disjoint_cycles", cycle_count=count, cycle_length=length)
-
+    # equal-size components, all cycles: degree 2 each, or one edge for the
+    # collapsed double edge of a 2-cycle
+    m = min(sizes, default=0)
+    if not loops and m >= 2 and max(sizes) == m and all(d == min(m - 1, 2) for d in degree):
+        kind = "single_cycle" if len(sizes) == 1 else "disjoint_cycles"
+        return Classification(kind, cycle_count=len(sizes), cycle_length=m)
     return Classification("other", loop_vertices=loops)
 
 

@@ -64,6 +64,21 @@ class TestSample:
         assert "error" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("sample", "--n", "101", "--trials", "1", "--regime", "critical", "--c", "inf"), "c"),
+    (("sample", "--n", "101", "--trials", "1", "--regime", "intermediate",
+      "--gamma", "inf"), "gamma"),
+    (("sweep", "--n", "101", "--trials", "1", "--regime", "fast", "--delta", "inf"), "delta"),
+    (("exact", "targets", "--regime", "critical", "--n", "101", "--c", "inf"), "c"),
+    (("exact", "targets", "--regime", "fast", "--n", "101", "--delta", "inf"), "delta"),
+    # ignored by the regime, but the resolved config would record it
+    (("sample", "--n", "101", "--trials", "1", "--p", "1/2", "--c", "inf"), "c"),
+], ids=["sample-critical-c", "sample-intermediate-gamma", "sweep-fast-delta",
+        "targets-critical-c", "targets-fast-delta", "sample-fixed-unused-c"])
+def test_infinite_regime_parameter_is_a_parameter_error(capsys, argv, name):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {name} must be finite, got inf\n")
+
+
 # formula -> (flags, printed params, the library call it must print)
 EXACT_CASES = {
     "path": (("--n", "10", "--k", "3"), {"m": 10, "r": 3}, lambda: exact.path_count(10, 3)),
@@ -159,6 +174,10 @@ class TestExact:
         data = self.get_json(capsys, "exact", "EDc", "--n", "5", "--p", "1/2")
         assert (data["numerator"], data["denominator"]) == ("5", "4")
         assert data["bound_2nF"] == "5/2"
+
+    def test_edc_needs_prime_n(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "EDc", "--n", "6", "--p", "1/3")
+        assert (code, out, err) == (1, "", "error: E[D^c] closed form needs prime n, got 6\n")
 
     def test_gauges(self, capsys):
         data = self.get_json(capsys, "exact", "gauges", "--n", "10007", "--p", "0.1")

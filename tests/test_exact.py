@@ -270,6 +270,11 @@ class TestJointMissingSums:
         assert prob_both_sums_missing(7, Fraction(1)) == 0
         assert prob_both_sums_missing(7, Fraction(0)) == 1
 
+    def test_one_vertex_rejected(self):
+        # (1-p) F(0) would read 1 - p; a one-vertex sum graph has no two targets
+        with pytest.raises(ParameterError, match="n must be >= 2"):
+            prob_both_sums_missing(1, Fraction(1, 3))
+
     def test_frozen_oracle_value(self):
         # enumeration over all 2^7 subsets, any i != j, gives 13/128 at p = 1/2
         assert prob_both_sums_missing(7, Fraction(1, 2)) == Fraction(13, 128)
@@ -298,6 +303,16 @@ class TestMissingDiffExpectation:
         for p in P_GRID:
             rec = expected_missing_diffs(n, p)
             assert rec.value <= rec.bound
+
+    @pytest.mark.parametrize("n", (4, 6, 8, 9, 15))
+    def test_composite_n_rejected(self, n):
+        # the prime form (n-1) P(k not in A-A) is wrong here: the k with
+        # gcd(n, k) > 1 split the difference graph into several cycles
+        p = Fraction(1, 3)
+        with pytest.raises(ParameterError, match="prime n"):
+            expected_missing_diffs(n, p)
+        nonempty_dc = oracle_moments(n, p).E_Dc - n * (1 - p) ** n
+        assert nonempty_dc != (n - 1) * prob_diff_missing(n, p)
 
 
 class TestGauges:

@@ -19,7 +19,7 @@ from modsetlab import (
     run_trial,
     write_trials_csv,
 )
-from modsetlab import experiments, multiplicity
+from modsetlab import exact, experiments, multiplicity
 from modsetlab.experiments import pool_size, report_as_dict, usable_cpus
 
 
@@ -30,6 +30,9 @@ class TestPrimes:
         assert not is_prime(561)          # Carmichael number
         assert is_prime(2 ** 61 - 1)      # Mersenne prime
         assert not is_prime(2 ** 61 + 1)
+
+    def test_is_prime_is_shared_with_exact(self):
+        assert experiments.is_prime is exact.is_prime
 
     def test_next_prime(self):
         assert next_prime(10000) == 10007
@@ -80,10 +83,10 @@ class TestTrials:
         assert rec.ratio is None
 
     def test_spot_check_passes(self):
-        run_trial(101, Fraction(1, 3), base_seed=5, trial_index=0, spot_check=True)
+        run_trial(101, Fraction(1, 3), base_seed=5, trial_index=0)
 
     def test_dense_spot_check_on_the_fft_backend(self):
-        rec = run_trial(2003, Fraction(1, 2), base_seed=5, trial_index=0, spot_check=True)
+        rec = run_trial(2003, Fraction(1, 2), base_seed=5, trial_index=0)
         assert multiplicity._use_fft(rec.card, 2003)
         assert rec.S == rec.D == 2003
 
@@ -95,7 +98,20 @@ class TestTrials:
 
         monkeypatch.setattr(experiments, "multiplicity_profile", corrupted)
         with pytest.raises(AssertionError, match="differences"):
-            run_trial(2003, Fraction(1, 2), base_seed=5, trial_index=0, spot_check=True)
+            run_trial(2003, Fraction(1, 2), base_seed=5, trial_index=0)
+
+    @pytest.mark.parametrize("trial_index, checked", [(0, True), (1, False),
+                                                      (99, False), (100, True)])
+    def test_spot_check_every_hundredth_trial(self, monkeypatch, trial_index, checked):
+        calls = []
+        monkeypatch.setattr(experiments, "inclusion_exclusion_size",
+                            lambda prof, kind: calls.append(kind) or -1)
+        if checked:
+            with pytest.raises(AssertionError, match="sums"):
+                run_trial(101, Fraction(1, 3), base_seed=5, trial_index=trial_index)
+        else:
+            run_trial(101, Fraction(1, 3), base_seed=5, trial_index=trial_index)
+        assert calls == (["sum"] if checked else [])
 
 
 class TestSweep:

@@ -8,6 +8,8 @@ import pytest
 
 from modsetlab import graphs
 from modsetlab import (
+    Classification,
+    PairGraph,
     ParameterError,
     ResidueSet,
     ResourceLimitError,
@@ -58,12 +60,56 @@ class TestBuild:
         with pytest.raises(ParameterError):
             build_sum_graph(7, 3, 3)
         with pytest.raises(ParameterError):
+            build_sum_graph(7, -4, 10)  # both are 3 mod 7
+        with pytest.raises(ParameterError):
             build_diff_graph(7, 0)
         with pytest.raises(ParameterError):
             build_diff_graph(7, 14)
 
 
+def _other(*loops):
+    return Classification("other", loop_vertices=loops)
+
+
+# hand-built graphs that reach every branch of the classifier
+HAND_BUILT = {
+    "n0": (PairGraph(0, ()), _other()),
+    "single-vertex": (PairGraph(1, ()), _other()),
+    "single-loop": (PairGraph(1, ((0, 0),)), _other(0)),
+    "loop-ended-edge": (PairGraph(2, ((0, 0), (0, 1), (1, 1))),
+                        Classification("path_with_end_loops", loop_vertices=(0, 1))),
+    "two-loops-no-edge": (PairGraph(2, ((0, 0), (1, 1))), _other(0, 1)),
+    "triangle-and-isolated-vertex": (PairGraph(4, ((0, 1), (0, 2), (1, 2))), _other()),
+    "loop-on-a-cycle": (PairGraph(3, ((0, 0), (0, 1), (0, 2), (1, 2))), _other(0)),
+    "two-triangles": (PairGraph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
+                      Classification("disjoint_cycles", cycle_count=2, cycle_length=3)),
+    "unequal-cycles": (PairGraph(7, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 6), (4, 5), (5, 6))),
+                       _other()),
+    "two-paths": (PairGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5))), _other()),
+    "complete-k4": (PairGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))), _other()),
+    "path-without-loops": (PairGraph(4, ((0, 1), (1, 2), (2, 3))), _other()),
+    "path-one-end-loop": (PairGraph(4, ((0, 0), (0, 1), (1, 2), (2, 3))), _other(0)),
+    "path-loops-not-at-ends": (PairGraph(4, ((0, 0), (0, 1), (1, 2), (2, 2), (2, 3))),
+                               _other(0, 2)),
+    "loop-ended-path-and-isolated-vertex": (PairGraph(4, ((0, 0), (0, 1), (1, 2), (2, 2))),
+                                            _other(0, 2)),
+    "star-with-loops": (PairGraph(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2))), _other(1, 2)),
+    "2-cycles-collapsed": (build_diff_graph(4, 2),
+                           Classification("disjoint_cycles", cycle_count=2, cycle_length=2)),
+    "2-cycle-n2": (build_diff_graph(2, 1),
+                   Classification("single_cycle", cycle_count=1, cycle_length=2)),
+    "sum-graph-9-0-3": (build_sum_graph(9, 0, 3), _other(0, 6)),
+    "sum-graph-8-1-2": (build_sum_graph(8, 1, 2),
+                        Classification("path_with_end_loops", loop_vertices=(1, 5))),
+}
+
+
 class TestClassify:
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_hand_built_graphs(self, name):
+        g, expected = HAND_BUILT[name]
+        assert g.kind == expected
+
     @pytest.mark.parametrize("n", PRIMES_19)
     def test_prime_sum_graphs_are_loop_ended_paths(self, n):
         for i in range(n):
