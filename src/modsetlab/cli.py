@@ -340,12 +340,13 @@ def _sums_missing(a):
 
 
 # event -> (required flags, its predicate, its closed form); a closed form is
-# (name, value, asserted) or None, and an asserted value counts A = empty
+# (name, value, asserted) or None, and an asserted value counts A = empty.
+# Each form is asserted exactly where its pair graph has the shape it assumes.
 _EVENTS = {
     "diff-missing": (("k",), _diff_missing, lambda a: (
-        # prob_diff_missing counts nonempty A only
+        # gcd(n, k) = 1: one n-cycle; prob_diff_missing counts nonempty A only
         ("P(k not in A-A)", exact.prob_diff_missing(a.n, a.p) + (1 - a.p) ** a.n, True)
-        if is_prime(a.n) else
+        if math.gcd(a.n, a.k) == 1 else
         ("P(k not in A-A) [per-cycle-nonempty form; not asserted]",
          exact.prob_diff_missing_composite(a.n, a.k, a.p), False))),
     "sum-missing": (("i",), lambda a: graphs.event_sum_missing(a.i), lambda a: (
@@ -353,7 +354,8 @@ _EVENTS = {
         if a.n % 2 == 1 else None)),
     "both-sums-missing": (("i", "j"), _sums_missing, lambda a: (
         ("P(i,j not in A+A)", exact.prob_both_sums_missing(a.n, a.p), True)
-        if is_prime(a.n) else None)),
+        if graphs.build_sum_graph(a.n, a.i, a.j).kind.kind == "path_with_end_loops"
+        else None)),
 }
 
 
@@ -377,8 +379,9 @@ def cmd_oracle(args) -> int:
         _need(args, args.event, *flags)
         include_empty = bool(args.include_empty)
         event = predicate(args)
-        comparison = closed_form(args)
+        # the oracle first: it caps n before a closed form or a graph is built
         value = graphs.oracle_event_probability(n, p, event, include_empty_set=include_empty)
+        comparison = closed_form(args)
         if comparison is not None:
             name, closed, asserted = comparison
             if asserted and not include_empty:

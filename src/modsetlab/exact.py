@@ -277,11 +277,12 @@ def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
 
 
 def prob_both_sums_missing(n: int, p) -> Fraction:
-    """P(i not in A+A and j not in A+A) for prime n and any fixed i != j.
+    """P(i not in A+A and j not in A+A) for any i, j with gcd(n, i - j) = 1.
 
-    The pair graph on the two target sums is a path of n vertices with a loop
-    on each endpoint: the endpoints must stay out of A (factor (1-p)^2) and
-    the n-2 interior vertices must form an independent set of the path.
+    The pair graph on the two target sums is then a path of n vertices with a
+    loop on each endpoint (at prime n, for every i != j): the endpoints must
+    stay out of A (factor (1-p)^2) and the n-2 interior vertices must form an
+    independent set of the path.
     Since F(m) = (1-p) P(independent on the (m-1)-vertex path),
 
         P = (1-p)^2 P(independent on the (n-2)-vertex path) = (1-p) F(n-1).

@@ -8,6 +8,9 @@ Conventions (pinned so the alternating inclusion-exclusion identity is exact):
   and the multiplicity of residue 0 is exactly |A|.
 
 x_k / y_k count k-sets of such pairs sharing one common sum / difference.
+Each reads its k from one histogram per side (how many residues have each
+multiplicity), built once per profile on first use and cached on it: one
+length-n pass per side, whatever the number of k asked for.
 
 The profile has two backends, picked from |A| and n alone: an exact pair
 bincount (cost ~|A|^2) for sparse sets, and a real FFT convolution and
@@ -15,6 +18,9 @@ correlation zero-padded to a power of two L >= 2n (cost ~L log L) for dense
 ones.  Every FFT result checks its own exactness (rounding error below 1/4,
 the count totals, the |A| diagonal differences) and falls back to the
 bincount if any check fails, so both backends return identical profiles.
+The bincount keeps no separate accumulator: the first pair block's counts
+are the running total.  On both backends the |A| diagonal sums 2a go in
+place by np.add.at, which counts a and a + n/2 both at even n.
 
 The alternating inclusion-exclusion series sum_k (-1)^(k+1) X_k collapses
 per residue to 1 - (1 - 1)^m = [m >= 1], so inclusion_exclusion_size counts
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
@@ -52,11 +59,23 @@ __all__ = [
 @dataclass(frozen=True)
 class MultiplicityProfile:
     """m_sum[r] = #unordered pairs {a,b} from A with a+b = r (mod n);
-    m_diff[r] = #ordered pairs (a,b) from AxA with a-b = r (mod n)."""
+    m_diff[r] = #ordered pairs (a,b) from AxA with a-b = r (mod n).
+
+    sum_histogram[v] / diff_histogram[v] count the residues of multiplicity v;
+    each is built on first use and read by x_k / y_k for every k.
+    """
 
     n: int
     m_sum: np.ndarray
     m_diff: np.ndarray
+
+    @cached_property
+    def sum_histogram(self) -> np.ndarray:
+        return np.bincount(self.m_sum)
+
+    @cached_property
+    def diff_histogram(self) -> np.ndarray:
+        return np.bincount(self.m_diff)
 
 
 def _fft_length(n: int) -> int:
@@ -77,13 +96,23 @@ def _use_fft(c: int, n: int) -> bool:
 
 
 def _pair_counts_sparse(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ordered sum counts, ordered difference counts) by an exact pair bincount."""
-    ordered_sum, m_diff = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    for total, subtract in ((ordered_sum, False), (m_diff, True)):
+    """(ordered sum counts, ordered difference counts) by an exact pair bincount.
+
+    The first block's bincount is the accumulator: one block, the usual case,
+    allocates nothing else of length n.
+    """
+    counts = []
+    for subtract in (False, True):
+        total = None
         for t in _pair_residues(n, idx, subtract):
-            total += np.bincount(t, minlength=n)
+            block = np.bincount(t, minlength=n)
             del t  # no block outlives its bincount: the peak stays at one block
-    return ordered_sum, m_diff
+            if total is None:
+                total = block
+            else:
+                total += block
+        counts.append(np.zeros(n, dtype=np.int64) if total is None else total)
+    return counts[0], counts[1]
 
 
 def _pair_counts_fft(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,29 +162,29 @@ def multiplicity_profile(A: ResidueSet) -> MultiplicityProfile:
     idx = A.indices()
     pair_counts = _pair_counts_fft if _use_fft(idx.size, n) else _pair_counts_sparse
     ordered_sum, m_diff = pair_counts(n, idx)
-    # unordered pairs: every {a,b} with a != b was counted twice, {a,a} once
-    ordered_sum += np.bincount((2 * idx) % n, minlength=n)
+    # unordered pairs: every {a,b} with a != b was counted twice, {a,a} once;
+    # add.at counts a and a + n/2 (same 2a at even n) both
+    np.add.at(ordered_sum, (2 * idx) % n, 1)
     ordered_sum //= 2
     return MultiplicityProfile(n, ordered_sum, m_diff)
 
 
-def _k_sets_with_common_value(mult: np.ndarray, k: int) -> int:
-    """Sum over residues of C(multiplicity, k), exactly."""
+def _k_sets_with_common_value(hist: np.ndarray, k: int) -> int:
+    """Sum over residues of C(multiplicity, k), exactly, from the multiplicity histogram."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    hist = np.bincount(mult)
-    return sum(int(cnt) * comb(v, k)
-               for v, cnt in enumerate(hist.tolist()) if cnt and v >= k)
+    return sum(cnt * comb(v, k)
+               for v, cnt in enumerate(hist[k:].tolist(), start=k) if cnt)
 
 
 def x_k(profile: MultiplicityProfile, k: int) -> int:
     """Number of k-sets of unordered element pairs that share one common sum."""
-    return _k_sets_with_common_value(profile.m_sum, k)
+    return _k_sets_with_common_value(profile.sum_histogram, k)
 
 
 def y_k(profile: MultiplicityProfile, k: int) -> int:
     """Number of k-sets of ordered element pairs that share one common difference."""
-    return _k_sets_with_common_value(profile.m_diff, k)
+    return _k_sets_with_common_value(profile.diff_histogram, k)
 
 
 def inclusion_exclusion_size(profile: MultiplicityProfile, side: str) -> int:

@@ -235,11 +235,11 @@ def _pair_residues(n: int, idx: np.ndarray, subtract: bool):
     for s in range(0, c, block):
         chunk = idx[s:s + block, None]
         if subtract:
-            t = chunk - idx[None, :]
-            t[t < 0] += n
+            t = chunk - idx
+            np.add(t, n, out=t, where=t < 0)
         else:
-            t = chunk + idx[None, :]
-            t[t >= n] -= n
+            t = chunk + idx
+            np.subtract(t, n, out=t, where=t >= n)
         yield t.ravel()
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, determinism, config file, exit codes."""
 
 import json
+import math
 import random
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -286,11 +287,36 @@ class TestOracle:
             closed = exact.prob_diff_missing_composite(n, k, p)
             assert comp["asserted"] is False and comp["equal"] is False
             assert comp["closed_form"] == f"{closed.numerator}/{closed.denominator}"
-        elif event == "sum-missing" and n % 2 == 1:
+        elif (event == "sum-missing" and n % 2 == 1
+              or event == "both-sums-missing" and math.gcd(n, j - i) == 1):
             (comp,) = comps
             assert comp["asserted"] is True and comp["equal"] is True
-        else:  # no closed form at even n (one sum) or composite n (two sums)
+        else:  # no closed form at even n (one sum) or off a loop-ended path (two sums)
             assert comps == []
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12, 14, 15, 16])
+    def test_closed_forms_asserted_by_graph_shape(self, capsys, n):
+        # gcd(n, k) = 1 makes the difference graph one n-cycle, and
+        # gcd(n, j - i) = 1 makes the sum graph a path with a loop at each
+        # end; there the closed form is asserted at any modulus, prime or not
+        def comparisons(*flags):
+            code, out, _ = run_cli(capsys, "oracle", "--n", str(n), "--p", "1/3",
+                                   "--event", *flags)
+            assert code == 0
+            return json.loads(out)["comparisons"]
+
+        for k in range(1, n):
+            (comp,) = comparisons("diff-missing", "--k", str(k))
+            assert comp["asserted"] is (math.gcd(n, k) == 1)
+            assert comp["equal"] or not comp["asserted"]
+        for i in (0, 1):
+            for j in range(i + 1, n):
+                comps = comparisons("both-sums-missing", "--i", str(i), "--j", str(j))
+                if math.gcd(n, j - i) == 1:
+                    (comp,) = comps
+                    assert comp["asserted"] is True and comp["equal"] is True
+                else:
+                    assert comps == []
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     @pytest.mark.parametrize("flags, message", [

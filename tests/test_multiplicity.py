@@ -135,6 +135,79 @@ class TestBackends:
         assert not multiplicity._use_fft(0, 1)
 
 
+def brute_profile(n, members):
+    """(m_sum, m_diff) from their definitions: unordered sums, ordered differences."""
+    m_sum, m_diff = [0] * n, [0] * n
+    for i, a in enumerate(members):
+        for b in members[i:]:
+            m_sum[(a + b) % n] += 1
+        for b in members:
+            m_diff[(a - b) % n] += 1
+    return m_sum, m_diff
+
+
+@pytest.fixture(params=["sparse", "fft"])
+def backend(request, monkeypatch):
+    """Run multiplicity_profile on one backend, whatever the set size."""
+    monkeypatch.setattr(multiplicity, "_use_fft", lambda c, n: request.param == "fft")
+    return request.param
+
+
+class TestProfileBruteForce:
+    @staticmethod
+    def assert_profile(n, members):
+        members = sorted(set(members))
+        prof = profile_of(n, members)
+        m_sum, m_diff = brute_profile(n, members)
+        assert prof.m_sum.dtype == np.int64 and prof.m_diff.dtype == np.int64
+        assert prof.m_sum.tolist() == m_sum
+        assert prof.m_diff.tolist() == m_diff
+
+    def test_every_small_modulus(self, backend):
+        rng = random.Random(40)
+        for n in range(1, 41):
+            for members in ([], [rng.randrange(n)], range(n)):
+                self.assert_profile(n, members)
+            for density in (0.3, 0.7):
+                self.assert_profile(n, [r for r in range(n) if rng.random() < density])
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 16, 40, 1000])
+    def test_even_n_with_both_halves(self, backend, n):
+        # a and a + n/2 have the same double 2a, so the diagonal adds 2 there
+        rng = random.Random(n)
+        half = n // 2
+        for a in {0, 1 % half, half - 1}:
+            self.assert_profile(n, [a, a + half])
+        members = [r for r in range(half) if rng.random() < 0.3]
+        self.assert_profile(n, members + [a + half for a in members])
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_sparse_accumulator_over_many_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(sets, "_SPARSE_BLOCK", block)
+        monkeypatch.setattr(multiplicity, "_use_fft", lambda c, n: False)
+        rng = random.Random(block)
+        for n in (1, 2, 12, 13, 40, 97):
+            for members in ([], [n - 1], range(n), [r for r in range(n) if rng.random() < 0.3]):
+                self.assert_profile(n, members)
+
+    def test_x_k_y_k_from_histogram(self, backend):
+        rng = random.Random(6)
+        cases = [(7, range(7)), (9, []), (5, [3])]
+        cases += [(n, [r for r in range(n) if rng.random() < 0.5])
+                  for n in (rng.randint(1, 60) for _ in range(20))]
+        beyond_max = 0
+        for n, members in cases:
+            members = list(members)
+            prof = profile_of(n, members)
+            m_sum, m_diff = brute_profile(n, members)
+            for k in range(1, 7):
+                assert x_k(prof, k) == sum(comb(m, k) for m in m_sum)
+                assert y_k(prof, k) == sum(comb(m, k) for m in m_diff)
+                beyond_max += k > max(m_sum) and k > max(m_diff)
+            assert prof.sum_histogram is prof.sum_histogram  # built once per side
+        assert beyond_max > 0
+
+
 class TestXkYk:
     def test_x2_full_set(self):
         assert x_k(multiplicity_profile(FULL7), 2) == 7 * comb(4, 2)
