@@ -146,23 +146,29 @@ class TrialRecord:
 def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
               k_max: int = 0) -> TrialRecord:
     """Sample trial `trial_index` and measure its set sizes (and x_k/y_k if asked);
-    trials 0, SPOT_CHECK_EVERY, ... also check both sizes by inclusion-exclusion."""
+    trials 0, SPOT_CHECK_EVERY, ... also check both sizes by inclusion-exclusion.
+
+    When x_k/y_k are asked for, the profile comes first and the sparse kernels
+    read A+A and A-A off its pair counts.  On a spot-checked trial the kernels
+    run first, so the check compares their own pair scatter or rotations with
+    the profile.
+    """
     A = sample_subset(SampleSpec(n=n, p=p, base_seed=base_seed, trial_index=trial_index))
     spot_check = trial_index % SPOT_CHECK_EVERY == 0
+    profile = multiplicity_profile(A) if k_max > 0 and not spot_check else None
     s = sumset(A).cardinality
     d = difference_set(A).cardinality
+    if spot_check:
+        profile = multiplicity_profile(A)
+        for kind, size in (("sum", s), ("difference", d)):
+            if inclusion_exclusion_size(profile, kind) != size:
+                raise AssertionError(f"inclusion-exclusion mismatch for {kind}s "
+                                     f"(n={n}, trial={trial_index})")
     xk: tuple[int, ...] = ()
     yk: tuple[int, ...] = ()
-    if k_max > 0 or spot_check:
-        profile = multiplicity_profile(A)
-        if k_max > 0:
-            xk = tuple(x_k(profile, k) for k in range(1, k_max + 1))
-            yk = tuple(y_k(profile, k) for k in range(1, k_max + 1))
-        if spot_check:
-            for kind, size in (("sum", s), ("difference", d)):
-                if inclusion_exclusion_size(profile, kind) != size:
-                    raise AssertionError(f"inclusion-exclusion mismatch for {kind}s "
-                                         f"(n={n}, trial={trial_index})")
+    if k_max > 0:
+        xk = tuple(x_k(profile, k) for k in range(1, k_max + 1))
+        yk = tuple(y_k(profile, k) for k in range(1, k_max + 1))
     return TrialRecord(
         n=n, p=p, p_float=float(p), trial_index=trial_index, card=A.cardinality,
         S=s, D=d, S_missing=n - s, D_missing=n - d,

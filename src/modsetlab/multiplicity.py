@@ -12,12 +12,14 @@ Each reads its k from one histogram per side (how many residues have each
 multiplicity), built once per profile on first use and cached on it: one
 length-n pass per side, whatever the number of k asked for.
 
-The profile has two backends, picked from |A| and n alone: an exact pair
-bincount (cost ~|A|^2) for sparse sets, and a real FFT convolution and
-correlation zero-padded to a power of two L >= 2n (cost ~L log L) for dense
-ones.  Every FFT result checks its own exactness (rounding error below 1/4,
-the count totals, the |A| diagonal differences) and falls back to the
-bincount if any check fails, so both backends return identical profiles.
+The profile has two backends, picked from |A| and n alone.  Sparse sets
+share the set's memoized exact pair bincount (`ResidueSet._pair_counts`,
+cost ~|A|^2): the profile holds those arrays uncopied and read-only, and the
+sparse kernels of `sets` then read A+A and A-A off them.  Dense sets use a
+real FFT convolution and correlation zero-padded to a power of two L >= 2n
+(cost ~L log L).  Every FFT result checks its own exactness (rounding error
+below 1/4, the count totals, the |A| diagonal differences) and falls back to
+the memo if any check fails, so both backends return identical profiles.
 The bincount keeps no separate accumulator: the first pair block's counts
 are the running total.  On both backends the |A| diagonal sums 2a go in
 place by np.add.at, which counts a and a + n/2 both at even n.
@@ -25,8 +27,10 @@ place by np.add.at, which counts a and a + n/2 both at even n.
 The alternating inclusion-exclusion series sum_k (-1)^(k+1) X_k collapses
 per residue to 1 - (1 - 1)^m = [m >= 1], so inclusion_exclusion_size counts
 the residues of nonzero multiplicity.  The Monte Carlo spot check compares
-it with |A+A| / |A-A| from `sets`; for dense sets that sets the FFT against
-the bit-rotation kernel, two algorithms that share no code.
+it with |A+A| / |A-A| from `sets`, whose kernels run before the profile on
+a spot-checked trial: for dense sets that sets the FFT against the
+bit-rotation kernel, two algorithms that share no code, and for sparse sets
+the bincount against the pair scatter.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .exact import _as_probability
-from .sets import ResidueSet, _pair_residues
+from .sets import ResidueSet, _unordered_sums
 
 _FFT_CROSSOVER = 4  # FFT backend once 4 |A|^2 > L log2 L; see _use_fft
 
@@ -71,11 +75,22 @@ class MultiplicityProfile:
 
     @cached_property
     def sum_histogram(self) -> np.ndarray:
-        return np.bincount(self.m_sum)
+        return _histogram(self.m_sum)
 
     @cached_property
     def diff_histogram(self) -> np.ndarray:
-        return np.bincount(self.m_diff)
+        return _histogram(self.m_diff)
+
+
+def _histogram(mult: np.ndarray) -> np.ndarray:
+    """hist[v] = number of residues of multiplicity v.
+
+    np.add.at reads the read-only pair counts in place; np.bincount would
+    first copy them (it asks numpy for a writeable array).
+    """
+    hist = np.zeros(int(mult.max()) + 1, dtype=np.int64)
+    np.add.at(hist, mult, 1)
+    return hist
 
 
 def _fft_length(n: int) -> int:
@@ -95,36 +110,18 @@ def _use_fft(c: int, n: int) -> bool:
     return _FFT_CROSSOVER * c * c > L * (L.bit_length() - 1)
 
 
-def _pair_counts_sparse(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ordered sum counts, ordered difference counts) by an exact pair bincount.
-
-    The first block's bincount is the accumulator: one block, the usual case,
-    allocates nothing else of length n.
-    """
-    counts = []
-    for subtract in (False, True):
-        total = None
-        for t in _pair_residues(n, idx, subtract):
-            block = np.bincount(t, minlength=n)
-            del t  # no block outlives its bincount: the peak stays at one block
-            if total is None:
-                total = block
-            else:
-                total += block
-        counts.append(np.zeros(n, dtype=np.int64) if total is None else total)
-    return counts[0], counts[1]
-
-
-def _pair_counts_fft(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The same counts as _pair_counts_sparse, by a zero-padded real FFT.
+def _pair_counts_fft(A: ResidueSet) -> tuple[np.ndarray, np.ndarray] | None:
+    """(m_sum, m_diff) by a zero-padded real FFT, or None if inexact.
 
     The indicator of A, padded to L >= 2n, gives the linear autoconvolution
     (sum a+b at index a+b < 2n) and autocorrelation (difference a-b at index
     a-b mod L); folding both mod n gives the cyclic counts.  The float result
     is accepted only if it passes its own exactness check: every entry within
-    1/4 of an integer, both count vectors summing to |A|^2, and difference 0
-    counted exactly |A| times.  Otherwise the exact bincount recomputes it.
+    1/4 of an integer, both ordered count vectors summing to |A|^2, and
+    difference 0 counted exactly |A| times.
     """
+    n = A.n
+    idx = A.indices()
     c = idx.size
     L = _fft_length(n)
     ind = np.zeros(L)
@@ -137,8 +134,8 @@ def _pair_counts_fft(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m_diff = corr[:n] + corr[L - n:]
     if (conv_exact and corr_exact and int(ordered_sum.sum()) == c * c
             and int(m_diff.sum()) == c * c and m_diff[0] == c):
-        return ordered_sum, m_diff
-    return _pair_counts_sparse(n, idx)
+        return _unordered_sums(n, idx, ordered_sum), m_diff
+    return None
 
 
 def _rounded(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -155,18 +152,12 @@ def _rounded(x: np.ndarray) -> tuple[np.ndarray, bool]:
 def multiplicity_profile(A: ResidueSet) -> MultiplicityProfile:
     """Sum and difference multiplicities of every residue.
 
-    Small sets use the exact pair bincount; large ones the padded FFT, whose
-    every result is checked for exactness (see _pair_counts_fft).
+    Small sets share A's memoized pair bincount, uncopied and read-only;
+    large ones use the padded FFT, whose every result is checked for
+    exactness and replaced by the bincount if it fails (see _pair_counts_fft).
     """
-    n = A.n
-    idx = A.indices()
-    pair_counts = _pair_counts_fft if _use_fft(idx.size, n) else _pair_counts_sparse
-    ordered_sum, m_diff = pair_counts(n, idx)
-    # unordered pairs: every {a,b} with a != b was counted twice, {a,a} once;
-    # add.at counts a and a + n/2 (same 2a at even n) both
-    np.add.at(ordered_sum, (2 * idx) % n, 1)
-    ordered_sum //= 2
-    return MultiplicityProfile(n, ordered_sum, m_diff)
+    counts = _pair_counts_fft(A) if _use_fft(A.cardinality, A.n) else None
+    return MultiplicityProfile(A.n, *(counts or A._pair_counts))
 
 
 def _k_sets_with_common_value(hist: np.ndarray, k: int) -> int:

@@ -10,18 +10,26 @@ package, each written once here:
   rotated by A, A-A is -A rotated by A; cost ~ |A| * n / wordsize, but a
   dense random set fills Z/nZ in a few dozen rotations);
 * `_pair_residues`, the wrapped pair sums or differences in flat blocks (the
-  sparse kernel scatters them into a mask, cost ~ |A|^2; the multiplicity
-  profile bincounts them).
+  sparse kernel scatters them into a mask, cost ~ |A|^2; `_pair_bincount`
+  counts them).
 
 ``kernel="auto"`` picks the dense or sparse kernel by a size threshold; both
 produce identical masks.  `graphs` builds its oracle predicates from `_neg`
 and `_or_rotations`, and works on uint32 arrays of masks as well as on ints.
 
-The rotation kernel stays separate from `multiplicity.multiplicity_profile`
-on purpose: the Monte Carlo spot check compares the two, and for dense sets
-it sets the rotations against the FFT, which share no code.  For sparse sets
-both sides read `_pair_residues`, so there the check covers the scatter and
-the bincount; the enumerator itself is tested against brute force.
+A set counts its pairs at most once per side.  `ResidueSet._pair_counts`
+memoizes the multiplicity profile's arrays (m_sum after the |A| diagonal and
+the halving, m_diff); they are read-only, since
+`multiplicity.multiplicity_profile` hands them out uncopied.  A+A and A-A are
+the residues of nonzero multiplicity, so once a set holds the memo the sparse
+kernel returns its support.  Without it the kernel scatters the pairs, which
+is faster than counting them: sweeps without x_k/y_k never build the memo.
+
+The Monte Carlo spot check compares the kernels with the profile, so on a
+spot-checked trial `experiments.run_trial` calls the kernels before the
+profile exists.  For dense sets the check then sets the rotations against
+the FFT, which share no code; for sparse sets the scatter against the
+bincount, which share only `_pair_residues`, tested against brute force.
 
 Sampling is deterministic: the random stream of trial t is derived only
 from (base_seed, t), so trials can run in any order, on any number of
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -107,7 +116,19 @@ class ResidueSet:
         raw = self.mask.to_bytes(nbytes, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                              bitorder="little", count=self.n)
-        return np.flatnonzero(bits).astype(np.int64)
+        return np.flatnonzero(bits.view(bool)).astype(np.int64, copy=False)
+
+    @cached_property
+    def _pair_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(m_sum, m_diff), the multiplicity profile's arrays, counted once per set.
+
+        Read-only: `multiplicity.multiplicity_profile` hands them out unchanged,
+        and the sparse kernels read A+A and A-A off their supports.
+        """
+        counts = _pair_multiplicities(self.n, self.indices())
+        for m in counts:
+            m.flags.writeable = False
+        return counts
 
     def negated(self) -> "ResidueSet":
         """The set {-a mod n : a in A}."""
@@ -243,10 +264,52 @@ def _pair_residues(n: int, idx: np.ndarray, subtract: bool):
         yield t.ravel()
 
 
-def _pair_table_mask(n: int, idx: np.ndarray, subtract: bool) -> int:
-    """Bit mask of all pairwise sums (or differences) mod n."""
-    bits = np.zeros(n, dtype=np.uint8)
+def _pair_bincount(n: int, idx: np.ndarray, subtract: bool) -> np.ndarray:
+    """Ordered pair counts of every residue: #(a, b) in idx x idx with a + b (or a - b) = r.
+
+    The first block's bincount is the accumulator: one block, the usual case,
+    allocates nothing else of length n.
+    """
+    total = None
     for t in _pair_residues(n, idx, subtract):
+        block = np.bincount(t, minlength=n)
+        del t  # no block outlives its bincount: the peak stays at one block
+        if total is None:
+            total = block
+        else:
+            total += block
+    return np.zeros(n, dtype=np.int64) if total is None else total
+
+
+def _unordered_sums(n: int, idx: np.ndarray, ordered_sum: np.ndarray) -> np.ndarray:
+    """Unordered sum multiplicities from ordered ones, in place.
+
+    Every {a, b} with a != b was counted twice and {a, a} once; np.add.at
+    counts a and a + n/2 (the same 2a at even n) both.
+    """
+    np.add.at(ordered_sum, (2 * idx) % n, 1)
+    ordered_sum //= 2
+    return ordered_sum
+
+
+def _pair_multiplicities(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m_sum, m_diff) by an exact pair bincount."""
+    ordered_sum = _pair_bincount(n, idx, subtract=False)
+    m_diff = _pair_bincount(n, idx, subtract=True)
+    return _unordered_sums(n, idx, ordered_sum), m_diff
+
+
+def _pair_table_mask(A: ResidueSet, subtract: bool) -> int:
+    """Bit mask of all pairwise sums (or differences) mod n.
+
+    The support of A's pair counts when A already holds them, else a scatter
+    of the pairs, which is faster than counting them.
+    """
+    counts = vars(A).get("_pair_counts")
+    if counts is not None:
+        return _mask_from_bits(counts[subtract] > 0)
+    bits = np.zeros(A.n, dtype=np.uint8)
+    for t in _pair_residues(A.n, A.indices(), subtract):
         bits[t] = 1
     return _mask_from_bits(bits)
 
@@ -257,7 +320,7 @@ def sumset(A: ResidueSet, kernel: str = "auto") -> ResidueSet:
     if k == "dense":
         return ResidueSet(A.n, _or_rotations(A.n, A.mask, A.mask))
     if k == "sparse":
-        return ResidueSet(A.n, _pair_table_mask(A.n, A.indices(), subtract=False))
+        return ResidueSet(A.n, _pair_table_mask(A, subtract=False))
     raise ParameterError(f"unknown kernel {kernel!r}")
 
 
@@ -267,7 +330,7 @@ def difference_set(A: ResidueSet, kernel: str = "auto") -> ResidueSet:
     if k == "dense":
         return ResidueSet(A.n, _or_rotations(A.n, A.mask, _neg(A.mask, A.n)))
     if k == "sparse":
-        return ResidueSet(A.n, _pair_table_mask(A.n, A.indices(), subtract=True))
+        return ResidueSet(A.n, _pair_table_mask(A, subtract=True))
     raise ParameterError(f"unknown kernel {kernel!r}")
 
 

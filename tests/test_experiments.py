@@ -5,12 +5,14 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from modsetlab import (
     ParameterError,
     RegimeSpec,
     convergence_report,
+    dyadic64,
     expected_missing_sums,
     is_prime,
     next_prime,
@@ -19,7 +21,7 @@ from modsetlab import (
     run_trial,
     write_trials_csv,
 )
-from modsetlab import exact, experiments, multiplicity
+from modsetlab import exact, experiments, multiplicity, sets
 from modsetlab.experiments import pool_size, report_as_dict, usable_cpus
 
 
@@ -100,6 +102,39 @@ class TestTrials:
         with pytest.raises(AssertionError, match="differences"):
             run_trial(2003, Fraction(1, 2), base_seed=5, trial_index=0)
 
+    def test_sparse_spot_check_catches_corrupted_pair_counts(self, monkeypatch):
+        # drop one sum from the counts the set memoizes: the spot check sets
+        # the kernels' own scatter against them, other trials read them
+        n, p = 10007, dyadic64(10007 ** -0.5)
+        honest = [run_trial(n, p, 5, t, k_max=3) for t in (0, 1)]
+        bincount = sets._pair_multiplicities
+
+        def dropped(n, idx):
+            m_sum, m_diff = bincount(n, idx)
+            m_sum[np.flatnonzero(m_sum)[0]] = 0
+            return m_sum, m_diff
+
+        monkeypatch.setattr(sets, "_pair_multiplicities", dropped)
+        assert not multiplicity._use_fft(honest[0].card, n)
+        with pytest.raises(AssertionError, match="inclusion-exclusion mismatch for sums"):
+            run_trial(n, p, 5, 0, k_max=3)
+        assert run_trial(n, p, 5, 1, k_max=3).S == honest[1].S - 1
+
+    @pytest.mark.parametrize("trial_index, k_max, enumerations", [
+        (1, 3, 2), (1, 0, 2), (0, 3, 4), (0, 0, 4)])
+    def test_pairs_enumerated_once_per_side(self, monkeypatch, trial_index, k_max,
+                                            enumerations):
+        # every module that holds the pair enumerator counts its calls
+        calls = []
+        enumerate_pairs = sets._pair_residues
+        for module in (sets, multiplicity):
+            if hasattr(module, "_pair_residues"):
+                monkeypatch.setattr(module, "_pair_residues",
+                                    lambda *a: calls.append(a[2]) or enumerate_pairs(*a))
+        n = 10007
+        run_trial(n, dyadic64(n ** -0.5), 5, trial_index, k_max)
+        assert len(calls) == enumerations and calls.count(True) == enumerations // 2
+
     @pytest.mark.parametrize("trial_index, checked", [(0, True), (1, False),
                                                       (99, False), (100, True)])
     def test_spot_check_every_hundredth_trial(self, monkeypatch, trial_index, checked):
@@ -135,6 +170,25 @@ class TestSweep:
         write_trials_csv(serial.records, buf_a, {"w": 1})
         write_trials_csv(parallel.records, buf_b, {"w": 1})
         assert buf_a.getvalue() == buf_b.getvalue()
+
+    @pytest.mark.parametrize("regime", [dict(regime="critical", n_values=(10007,), c=1.0),
+                                        dict(regime="fixed", n_values=(2003,),
+                                             p_fixed=Fraction(1, 2))])
+    def test_sizes_do_not_depend_on_k_max(self, regime):
+        # trial 100 is spot-checked; the others read the sizes off the profile
+        # when x_k/y_k are asked for, and scatter or rotate when not
+        rows, csv_data = set(), set()
+        for k_max in (0, 3):
+            for workers in (1, 2):
+                spec = RegimeSpec(trials=101, base_seed=11, k_max=k_max,
+                                  workers=workers, **regime)
+                records = run_sweep(spec).records
+                rows.add(tuple((r.card, r.S, r.D, r.ratio) for r in records))
+                buf = io.StringIO()
+                write_trials_csv(records, buf, {"k_max": k_max, "workers": workers})
+                csv_data.add(tuple(line for line in buf.getvalue().splitlines()
+                                   if not line.startswith("#")))
+        assert len(rows) == 1 and len(csv_data) == 1
 
     def test_one_pool_for_uneven_chunks_of_many_moduli(self):
         spec = RegimeSpec(regime="fixed", n_values=(61, 101, 61), trials=7, base_seed=3,

@@ -58,9 +58,11 @@ class TestBackends:
 
     @staticmethod
     def assert_backends_agree(n, members):
-        idx = np.asarray(sorted(members), dtype=np.int64)
-        fft_sum, fft_diff = multiplicity._pair_counts_fft(n, idx)
-        ref_sum, ref_diff = multiplicity._pair_counts_sparse(n, idx)
+        A = ResidueSet.from_indices(n, members)
+        counts = multiplicity._pair_counts_fft(A)
+        assert counts is not None  # exact at these sizes: no fallback
+        fft_sum, fft_diff = counts
+        ref_sum, ref_diff = A._pair_counts
         assert fft_sum.dtype == ref_sum.dtype and fft_diff.dtype == ref_diff.dtype
         assert np.array_equal(fft_sum, ref_sum)
         assert np.array_equal(fft_diff, ref_diff)
@@ -85,7 +87,9 @@ class TestBackends:
     def test_inexact_fft_falls_back_to_exact_counts(self, monkeypatch, noise):
         n = 257
         idx = np.arange(0, n, 2, dtype=np.int64)
-        expected = multiplicity._pair_counts_sparse(n, idx)
+        A = ResidueSet.from_indices(n, idx)
+        assert multiplicity._use_fft(A.cardinality, n)
+        expected = sets._pair_multiplicities(n, idx)
         irfft = np.fft.irfft
 
         def noisy_irfft(*args, **kwargs):
@@ -96,13 +100,14 @@ class TestBackends:
             return x
 
         fallbacks = []
-        sparse = multiplicity._pair_counts_sparse
+        bincount = sets._pair_multiplicities
         monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
-        monkeypatch.setattr(multiplicity, "_pair_counts_sparse",
-                            lambda *a: fallbacks.append(a) or sparse(*a))
-        got = multiplicity._pair_counts_fft(n, idx)
+        monkeypatch.setattr(sets, "_pair_multiplicities",
+                            lambda *a: fallbacks.append(a) or bincount(*a))
+        assert multiplicity._pair_counts_fft(A) is None
+        got = multiplicity_profile(A)
         assert len(fallbacks) == 1
-        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        assert np.array_equal(got.m_sum, expected[0]) and np.array_equal(got.m_diff, expected[1])
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_pair_enumerator_over_many_blocks(self, monkeypatch, block):
@@ -116,12 +121,18 @@ class TestBackends:
                 idx = np.asarray(members, dtype=np.int64)
                 sums = Counter((a + b) % n for a in members for b in members)
                 diffs = Counter((a - b) % n for a in members for b in members)
-                ordered_sum, m_diff = multiplicity._pair_counts_sparse(n, idx)
+                ordered_sum = sets._pair_bincount(n, idx, subtract=False)
+                m_diff = sets._pair_bincount(n, idx, subtract=True)
                 assert ordered_sum.tolist() == [sums[r] for r in range(n)]
                 assert m_diff.tolist() == [diffs[r] for r in range(n)]
+                A = ResidueSet.from_indices(n, members)
+                assert np.array_equal(A._pair_counts[1], m_diff)  # A now holds its counts
                 for subtract, expected in ((False, sums), (True, diffs)):
-                    mask = sets._pair_table_mask(n, idx, subtract)
+                    # a fresh set scatters its pairs; A's mask is the support
+                    # of its counts
+                    mask = sets._pair_table_mask(ResidueSet.from_indices(n, members), subtract)
                     assert set(ResidueSet(n, mask)) == set(expected)
+                    assert sets._pair_table_mask(A, subtract) == mask
                     blocks = list(sets._pair_residues(n, idx, subtract))
                     assert all(t.size <= max(block, len(members)) for t in blocks)
                     assert sum(t.size for t in blocks) == len(members) ** 2

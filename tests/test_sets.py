@@ -36,6 +36,14 @@ class TestResidueSet:
         assert 3 in A and 4 not in A
         assert sorted(A) == [0, 3, 7]
 
+    def test_indices_brute_force(self):
+        rng = random.Random(130)
+        for n in [*range(1, 131), 100_003]:
+            for mask in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(3))):
+                idx = ResidueSet(n, mask).indices()
+                assert idx.dtype == np.int64
+                assert idx.tolist() == [r for r in range(n) if mask >> r & 1]
+
     def test_negated(self):
         A = ResidueSet.from_indices(7, [0, 1, 5])
         assert sorted(A.negated()) == [0, 2, 6]
