@@ -12,6 +12,7 @@ The default seed comes from the MODSETLAB_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -229,18 +230,20 @@ def _build_regime_spec(args, n_values: list[int]) -> tuple[RegimeSpec, dict]:
     return spec, config
 
 
-def _write_csv(result, config, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            experiments.write_trials_csv(result.records, fh, config)
-    else:
-        experiments.write_trials_csv(result.records, sys.stdout, config)
+def _open_out(path: str | None):
+    """Open an output file for writing, or pass stdout through (left open).
+
+    The commands open their outputs before the sweep, so an unwritable path
+    fails before any trial runs.
+    """
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_sample(args) -> int:
     spec, config = _build_regime_spec(args, [args.n])
-    result = run_sweep(spec)
-    _write_csv(result, config, args.out)
+    with _open_out(args.out) as out:
+        result = run_sweep(spec)
+        experiments.write_trials_csv(result.records, out, config)
     agg = result.aggregates[0]
     print(f"n={agg.n} trials={agg.trials} mean|A|={agg.mean_card:.2f} "
           f"mean S={agg.mean_S:.2f} mean D={agg.mean_D:.2f} "
@@ -251,16 +254,12 @@ def cmd_sample(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec, config = _build_regime_spec(args, list(args.n))
-    result = run_sweep(spec)
-    if args.out:
-        _write_csv(result, config, args.out)
-    report = experiments.report_as_dict(result, spec, config)
-    text = json.dumps(report, indent=2)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _open_out(args.out) as out, _open_out(args.report) as report_out:
+        result = run_sweep(spec)
+        if args.out:
+            experiments.write_trials_csv(result.records, out, config)
+        report = experiments.report_as_dict(result, spec, config)
+        print(json.dumps(report, indent=2), file=report_out)
     return EXIT_OK
 
 

@@ -176,9 +176,8 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
     )
 
 
-def _run_chunk(args) -> list[TrialRecord]:
-    n, p, base_seed, start, stop, k_max = args
-    return [run_trial(n, p, base_seed, t, k_max) for t in range(start, stop)]
+def _run_trial(job) -> TrialRecord:
+    return run_trial(*job)
 
 
 @dataclass(frozen=True)
@@ -289,27 +288,23 @@ def run_sweep(spec: RegimeSpec) -> SweepResult:
 
     Identical output for any worker count: per-trial streams depend only on
     (base_seed, trial_index), and aggregates are exact sums.  With more than
-    one worker, the chunks of every modulus go to one process pool, so a
-    worker that finishes early takes up the next modulus.
+    one worker, the trials of every modulus go to one process pool in chunks
+    of trials / workers, so a worker that finishes early takes up the next
+    chunk, of this modulus or the next.
     """
     workers = pool_size(spec.workers, spec.trials, usable_cpus())
-    step = -(-spec.trials // workers)
-    starts = range(0, spec.trials, step)
     ps = [realized_p(spec, n) for n in spec.n_values]
-    chunks = [(n, p, spec.base_seed, s, min(s + step, spec.trials), spec.k_max)
-              for n, p in zip(spec.n_values, ps) for s in starts]
+    jobs = [(n, p, spec.base_seed, t, spec.k_max)
+            for n, p in zip(spec.n_values, ps) for t in range(spec.trials)]
     if workers == 1:
-        parts = list(map(_run_chunk, chunks))
+        records = list(map(_run_trial, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
-    records: list[TrialRecord] = []
-    aggregates: list[SweepAggregate] = []
-    k = len(starts)
-    for i, (n, p) in enumerate(zip(spec.n_values, ps)):
-        recs = [r for part in parts[i * k:(i + 1) * k] for r in part]
-        records.extend(recs)
-        aggregates.append(_aggregate(n, p, recs))
+            records = list(pool.map(_run_trial, jobs,
+                                    chunksize=-(-spec.trials // workers)))
+    m = spec.trials
+    aggregates = [_aggregate(n, p, records[i * m:(i + 1) * m])
+                  for i, (n, p) in enumerate(zip(spec.n_values, ps))]
     records.sort(key=lambda r: (r.n, r.trial_index))
     return SweepResult(records=records, aggregates=aggregates)
 

@@ -30,8 +30,7 @@ from .errors import ParameterError, ResourceLimitError
 from .exact import _as_probability, _over_power
 from .sets import _neg, _or_rotations, _rotl
 
-ORACLE_MAX_N_EVENTS = 22  # masks are uint32, so both caps must stay below 32
-ORACLE_MAX_N_MOMENTS = 18
+ORACLE_MAX_N = 22  # masks are uint32, so the cap must stay below 32
 
 __all__ = [
     "PairGraph",
@@ -158,11 +157,11 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return (x * 0x01010101) >> 24
 
 
-def _check_oracle_n(n: int, limit: int) -> None:
+def _check_oracle_n(n: int) -> None:
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if n > limit:
-        raise ResourceLimitError(f"enumeration oracle capped at n <= {limit}, got {n}")
+    if n > ORACLE_MAX_N:
+        raise ResourceLimitError(f"enumeration oracle capped at n <= {ORACLE_MAX_N}, got {n}")
 
 
 def _weigh(counts, p: Fraction, n: int) -> Fraction:
@@ -182,7 +181,7 @@ def oracle_event_probability(n: int, p, event: Callable,
     cardinality in int64 and weighted once at the end.
     ``include_empty_set=False`` drops A = empty from the event.
     """
-    _check_oracle_n(n, ORACLE_MAX_N_EVENTS)
+    _check_oracle_n(n)
     p = _as_probability(p)
     counts = np.zeros(n + 1, dtype=np.int64)
     for masks in _mask_chunks(n, 0 if include_empty_set else 1):
@@ -206,7 +205,7 @@ def oracle_moments(n: int, p) -> OracleMoments:
     Per uint32 chunk of masks, A+A and A-A are the OR over a in A of A and -A
     rotated by a; the (|A|, missing count) pairs are tallied in int64.
     """
-    _check_oracle_n(n, ORACLE_MAX_N_MOMENTS)
+    _check_oracle_n(n)
     p = _as_probability(p)
     full = (1 << n) - 1
     m1 = n + 1

@@ -12,17 +12,12 @@ Each reads its k from one histogram per side (how many residues have each
 multiplicity), built once per profile on first use and cached on it: one
 length-n pass per side, whatever the number of k asked for.
 
-The profile has two backends, picked from |A| and n alone.  Sparse sets
-share the set's memoized exact pair bincount (`ResidueSet._pair_counts`,
-cost ~|A|^2): the profile holds those arrays uncopied and read-only, and the
-sparse kernels of `sets` then read A+A and A-A off them.  Dense sets use a
-real FFT convolution and correlation zero-padded to a power of two L >= 2n
-(cost ~L log L).  Every FFT result checks its own exactness (rounding error
-below 1/4, the count totals, the |A| diagonal differences) and falls back to
-the memo if any check fails, so both backends return identical profiles.
-The bincount keeps no separate accumulator: the first pair block's counts
-are the running total.  On both backends the |A| diagonal sums 2a go in
-place by np.add.at, which counts a and a + n/2 both at even n.
+The profile only reads the pair counts: `sets` owns them, as the memo
+`ResidueSet._pair_counts`, and picks their backend (pair bincount or checked
+FFT) by size.  The profile holds those arrays uncopied and read-only on both
+backends, and the sparse kernels of `sets` read A+A and A-A off the same
+memo.  The histograms count with np.add.at, which reads the read-only
+arrays in place where np.bincount would copy them.
 
 The alternating inclusion-exclusion series sum_k (-1)^(k+1) X_k collapses
 per residue to 1 - (1 - 1)^m = [m >= 1], so inclusion_exclusion_size counts
@@ -45,9 +40,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .exact import _as_probability
-from .sets import ResidueSet, _unordered_sums
-
-_FFT_CROSSOVER = 4  # FFT backend once 4 |A|^2 > L log2 L; see _use_fft
+from .sets import ResidueSet
 
 __all__ = [
     "MultiplicityProfile",
@@ -85,79 +78,21 @@ class MultiplicityProfile:
 def _histogram(mult: np.ndarray) -> np.ndarray:
     """hist[v] = number of residues of multiplicity v.
 
-    np.add.at reads the read-only pair counts in place; np.bincount would
-    first copy them (it asks numpy for a writeable array).
+    np.add.at reads the read-only pair counts in place, on either backend;
+    np.bincount would first copy them (it asks numpy for a writeable array).
     """
     hist = np.zeros(int(mult.max()) + 1, dtype=np.int64)
     np.add.at(hist, mult, 1)
     return hist
 
 
-def _fft_length(n: int) -> int:
-    """Smallest power of two >= 2n: room for every a+b and a-b without wrap-around."""
-    return 1 << (2 * n - 1).bit_length()
-
-
-def _use_fft(c: int, n: int) -> bool:
-    """Pick the FFT backend for |A| = c in Z/nZ.
-
-    The pair bincount costs ~|A|^2 and the padded FFT ~L log2 L; measured
-    with numpy 2.4 on a 2-vCPU Xeon VM for n from 2e3 to 1e6, they break even near
-    |A|^2 = L log2 L / 4, so sparse critical-density sets (|A| ~ sqrt(n))
-    stay on the bincount and dense ones (|A| ~ n p) go to the FFT.
-    """
-    L = _fft_length(n)
-    return _FFT_CROSSOVER * c * c > L * (L.bit_length() - 1)
-
-
-def _pair_counts_fft(A: ResidueSet) -> tuple[np.ndarray, np.ndarray] | None:
-    """(m_sum, m_diff) by a zero-padded real FFT, or None if inexact.
-
-    The indicator of A, padded to L >= 2n, gives the linear autoconvolution
-    (sum a+b at index a+b < 2n) and autocorrelation (difference a-b at index
-    a-b mod L); folding both mod n gives the cyclic counts.  The float result
-    is accepted only if it passes its own exactness check: every entry within
-    1/4 of an integer, both ordered count vectors summing to |A|^2, and
-    difference 0 counted exactly |A| times.
-    """
-    n = A.n
-    idx = A.indices()
-    c = idx.size
-    L = _fft_length(n)
-    ind = np.zeros(L)
-    ind[idx] = 1.0
-    F = np.fft.rfft(ind)
-    del ind  # one transform at a time keeps the peak near 45 bytes per L
-    conv, conv_exact = _rounded(np.fft.irfft(F * F, L))
-    corr, corr_exact = _rounded(np.fft.irfft(F * F.conj(), L))
-    ordered_sum = conv[:n] + conv[n:2 * n]
-    m_diff = corr[:n] + corr[L - n:]
-    if (conv_exact and corr_exact and int(ordered_sum.sum()) == c * c
-            and int(m_diff.sum()) == c * c and m_diff[0] == c):
-        return _unordered_sums(n, idx, ordered_sum), m_diff
-    return None
-
-
-def _rounded(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """x rounded to int64, and whether every entry was within 1/4 of an integer.
-
-    Overwrites x.
-    """
-    counts = np.rint(x)
-    x -= counts
-    exact = bool(np.abs(x, out=x).max() < 0.25)
-    return counts.astype(np.int64), exact
-
-
 def multiplicity_profile(A: ResidueSet) -> MultiplicityProfile:
     """Sum and difference multiplicities of every residue.
 
-    Small sets share A's memoized pair bincount, uncopied and read-only;
-    large ones use the padded FFT, whose every result is checked for
-    exactness and replaced by the bincount if it fails (see _pair_counts_fft).
+    The arrays are A's memoized pair counts (`sets` picks and checks their
+    backend), shared uncopied and read-only.
     """
-    counts = _pair_counts_fft(A) if _use_fft(A.cardinality, A.n) else None
-    return MultiplicityProfile(A.n, *(counts or A._pair_counts))
+    return MultiplicityProfile(A.n, *A._pair_counts)
 
 
 def _k_sets_with_common_value(hist: np.ndarray, k: int) -> int:

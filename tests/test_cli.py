@@ -354,6 +354,11 @@ class TestOracle:
         assert data["moments"]["E_Sc"] == "189/128"
         assert all(c["equal"] for c in data["comparisons"])
 
+    def test_moments_above_the_old_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--n", "19", "--p", "1/2", "--moments")
+        assert code == 0
+        assert all(c["equal"] for c in json.loads(out)["comparisons"])
+
     def test_resource_limit_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "23", "--p", "1/2",
                                "--event", "diff-missing", "--k", "1")
@@ -442,3 +447,27 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--p", "1/2", "--n", "31", "--trials", "2")
         assert code == 3
         assert err.startswith("resource limit: " + type(error).__name__)
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_unwritable_output_fails_before_the_sweep(self, capsys, monkeypatch,
+                                                      tmp_path, flag):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", calls.append)
+        path = str(tmp_path / "absent" / "x")
+        code, _, err = run_cli(capsys, "sweep", "--p", "1/2", "--n", "7",
+                               "--trials", "1", flag, path)
+        assert code == 3
+        assert err.startswith("resource limit: FileNotFoundError")
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["sample", "sweep"])
+    def test_parameter_error_leaves_outputs_untouched(self, capsys, tmp_path, command):
+        out, report = tmp_path / "t.csv", tmp_path / "r.json"
+        out.write_text("kept\n")
+        report.write_text("kept\n")
+        argv = [command, "--regime", "critical", "--n", "7", "--out", str(out)]
+        if command == "sweep":
+            argv += ["--report", str(report)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "critical regime needs c > 0" in err
+        assert out.read_text() == report.read_text() == "kept\n"

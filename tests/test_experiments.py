@@ -89,14 +89,15 @@ class TestTrials:
 
     def test_dense_spot_check_on_the_fft_backend(self):
         rec = run_trial(2003, Fraction(1, 2), base_seed=5, trial_index=0)
-        assert multiplicity._use_fft(rec.card, 2003)
+        assert sets._use_fft(rec.card, 2003)
         assert rec.S == rec.D == 2003
 
     def test_dense_spot_check_catches_a_corrupted_profile(self, monkeypatch):
         def corrupted(A):
             prof = multiplicity.multiplicity_profile(A)
-            prof.m_diff[1] = 0
-            return prof
+            m_diff = prof.m_diff.copy()
+            m_diff[1] = 0
+            return multiplicity.MultiplicityProfile(A.n, prof.m_sum, m_diff)
 
         monkeypatch.setattr(experiments, "multiplicity_profile", corrupted)
         with pytest.raises(AssertionError, match="differences"):
@@ -115,15 +116,14 @@ class TestTrials:
             return m_sum, m_diff
 
         monkeypatch.setattr(sets, "_pair_multiplicities", dropped)
-        assert not multiplicity._use_fft(honest[0].card, n)
+        assert not sets._use_fft(honest[0].card, n)
         with pytest.raises(AssertionError, match="inclusion-exclusion mismatch for sums"):
             run_trial(n, p, 5, 0, k_max=3)
         assert run_trial(n, p, 5, 1, k_max=3).S == honest[1].S - 1
 
-    @pytest.mark.parametrize("trial_index, k_max, enumerations", [
-        (1, 3, 2), (1, 0, 2), (0, 3, 4), (0, 0, 4)])
-    def test_pairs_enumerated_once_per_side(self, monkeypatch, trial_index, k_max,
-                                            enumerations):
+    @staticmethod
+    def count_enumerations(monkeypatch, n, p, trial_index, k_max):
+        """run_trial's pair enumerations, as the subtract flag of each call."""
         # every module that holds the pair enumerator counts its calls
         calls = []
         enumerate_pairs = sets._pair_residues
@@ -131,8 +131,29 @@ class TestTrials:
             if hasattr(module, "_pair_residues"):
                 monkeypatch.setattr(module, "_pair_residues",
                                     lambda *a: calls.append(a[2]) or enumerate_pairs(*a))
+        card = run_trial(n, p, 5, trial_index, k_max).card
+        assert sets._pick_kernel(sets.ResidueSet(n, (1 << card) - 1)) == "sparse"
+        return calls, card
+
+    @pytest.mark.parametrize("trial_index, k_max, enumerations", [
+        (1, 3, 2), (1, 0, 2), (0, 3, 4), (0, 0, 4)])
+    def test_pairs_enumerated_once_per_side(self, monkeypatch, trial_index, k_max,
+                                            enumerations):
         n = 10007
-        run_trial(n, dyadic64(n ** -0.5), 5, trial_index, k_max)
+        calls, card = self.count_enumerations(monkeypatch, n, dyadic64(n ** -0.5),
+                                               trial_index, k_max)
+        assert not sets._use_fft(card, n)
+        assert len(calls) == enumerations and calls.count(True) == enumerations // 2
+
+    @pytest.mark.parametrize("trial_index, enumerations", [(1, 0), (0, 2)])
+    def test_fft_pair_counts_serve_the_sparse_kernels(self, monkeypatch, trial_index,
+                                                      enumerations):
+        # sparse kernels but FFT pair counts: the profile's memo serves the
+        # kernels too, so only the spot check, which runs them first, scatters
+        n = 10007
+        calls, card = self.count_enumerations(monkeypatch, n, Fraction(3, 50),
+                                               trial_index, k_max=3)
+        assert sets._use_fft(card, n)
         assert len(calls) == enumerations and calls.count(True) == enumerations // 2
 
     @pytest.mark.parametrize("trial_index, checked", [(0, True), (1, False),

@@ -217,7 +217,7 @@ class TestOracle:
         with pytest.raises(ResourceLimitError):
             oracle_event_probability(23, Fraction(1, 2), event_diff_missing(1))
         with pytest.raises(ResourceLimitError):
-            oracle_moments(19, Fraction(1, 2))
+            oracle_moments(23, Fraction(1, 2))
 
     def test_predicates_accept_int_and_uint32_array(self):
         rng = np.random.default_rng(22)

@@ -59,10 +59,10 @@ class TestBackends:
     @staticmethod
     def assert_backends_agree(n, members):
         A = ResidueSet.from_indices(n, members)
-        counts = multiplicity._pair_counts_fft(A)
+        counts = sets._pair_counts_fft(A)
         assert counts is not None  # exact at these sizes: no fallback
         fft_sum, fft_diff = counts
-        ref_sum, ref_diff = A._pair_counts
+        ref_sum, ref_diff = sets._pair_multiplicities(n, A.indices())
         assert fft_sum.dtype == ref_sum.dtype and fft_diff.dtype == ref_diff.dtype
         assert np.array_equal(fft_sum, ref_sum)
         assert np.array_equal(fft_diff, ref_diff)
@@ -88,7 +88,7 @@ class TestBackends:
         n = 257
         idx = np.arange(0, n, 2, dtype=np.int64)
         A = ResidueSet.from_indices(n, idx)
-        assert multiplicity._use_fft(A.cardinality, n)
+        assert sets._use_fft(A.cardinality, n)
         expected = sets._pair_multiplicities(n, idx)
         irfft = np.fft.irfft
 
@@ -104,7 +104,7 @@ class TestBackends:
         monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
         monkeypatch.setattr(sets, "_pair_multiplicities",
                             lambda *a: fallbacks.append(a) or bincount(*a))
-        assert multiplicity._pair_counts_fft(A) is None
+        assert sets._pair_counts_fft(A) is None
         got = multiplicity_profile(A)
         assert len(fallbacks) == 1
         assert np.array_equal(got.m_sum, expected[0]) and np.array_equal(got.m_diff, expected[1])
@@ -141,9 +141,9 @@ class TestBackends:
         # critical density |A| ~ c sqrt(n), c <= 3, stays on the bincount from
         # n = 1e4 up; p = 1/2 goes to the FFT
         for n in (10007, 100003, 1000003):
-            assert not multiplicity._use_fft(int(3 * n ** 0.5), n)
-            assert multiplicity._use_fft(n // 2, n)
-        assert not multiplicity._use_fft(0, 1)
+            assert not sets._use_fft(int(3 * n ** 0.5), n)
+            assert sets._use_fft(n // 2, n)
+        assert not sets._use_fft(0, 1)
 
 
 def brute_profile(n, members):
@@ -160,7 +160,7 @@ def brute_profile(n, members):
 @pytest.fixture(params=["sparse", "fft"])
 def backend(request, monkeypatch):
     """Run multiplicity_profile on one backend, whatever the set size."""
-    monkeypatch.setattr(multiplicity, "_use_fft", lambda c, n: request.param == "fft")
+    monkeypatch.setattr(sets, "_use_fft", lambda c, n: request.param == "fft")
     return request.param
 
 
@@ -192,10 +192,20 @@ class TestProfileBruteForce:
         members = [r for r in range(half) if rng.random() < 0.3]
         self.assert_profile(n, members + [a + half for a in members])
 
+    def test_arrays_are_the_read_only_memo(self, backend):
+        for n, members in ((40, range(0, 40, 3)), (1000, range(0, 1000, 2))):
+            A = ResidueSet.from_indices(n, members)
+            prof = multiplicity_profile(A)
+            assert multiplicity_profile(A).m_sum is prof.m_sum  # counted once per set
+            for m in (prof.m_sum, prof.m_diff):
+                assert not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[0] = 0
+
     @pytest.mark.parametrize("block", [1, 7])
     def test_sparse_accumulator_over_many_blocks(self, monkeypatch, block):
         monkeypatch.setattr(sets, "_SPARSE_BLOCK", block)
-        monkeypatch.setattr(multiplicity, "_use_fft", lambda c, n: False)
+        monkeypatch.setattr(sets, "_use_fft", lambda c, n: False)
         rng = random.Random(block)
         for n in (1, 2, 12, 13, 40, 97):
             for members in ([], [n - 1], range(n), [r for r in range(n) if rng.random() < 0.3]):
