@@ -2,9 +2,11 @@
 """Pair graphs, their structure, and exact verification by 2^n enumeration.
 
 "Residue k is missing from A-A" is the same as "A is independent in the graph
-joining a to a+k"; for two missing sums the graph is a loop-ended path.  The
-enumeration oracle weighs all 2^n subsets exactly and confirms the closed
-forms, including the one place they deliberately diverge (composite moduli).
+joining a to a+k"; for missing sums it joins a to t-a for each target t.
+Every such graph is a disjoint union of loop-ended paths and cycles, and one
+engine weighs its component list.  The enumeration oracle weighs all 2^n
+subsets exactly and confirms the engine and the closed forms, including the
+one place a closed form deliberately diverges (composite moduli).
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from modsetlab import (
     build_sum_graph,
     event_diff_missing,
     event_sums_missing,
+    independence_probability,
     oracle_event_probability,
     oracle_moments,
     expected_missing_sums,
@@ -24,14 +27,8 @@ from modsetlab import (
 
 
 def describe(g):
-    k = g.kind
-    if k.kind == "path_with_end_loops":
-        return f"path with end loops at {list(k.loop_vertices)}"
-    if k.kind == "single_cycle":
-        return f"single {k.cycle_length}-cycle"
-    if k.kind == "disjoint_cycles":
-        return f"{k.cycle_count} disjoint {k.cycle_length}-cycles"
-    return "other"
+    return ", ".join(f"{count} x {m}-vertex {kind}" + (f" with {loops} end loop(s)" if loops else "")
+                     for kind, m, loops, count in g.components)
 
 
 def main():
@@ -40,6 +37,8 @@ def main():
     print(f"difference graph (n=7, k=2):      {describe(build_diff_graph(7, 2))}")
     print(f"difference graph (n=6, k=2):      {describe(build_diff_graph(6, 2))}")
     print(f"difference graph (n=6, k=3):      {describe(build_diff_graph(6, 3))}")
+    print(f"sum graph (n=9, targets 0 and 3): {describe(build_sum_graph(9, 0, 3))}")
+    print(f"sum graph (n=8, target 2):        {describe(build_sum_graph(8, 2))}")
 
     p = Fraction(1, 2)
     print("\n== closed forms vs exhaustive enumeration (n = 7, p = 1/2) ==")
@@ -64,6 +63,9 @@ def main():
           f"(nonempty A) {enum}; gap {enum - formula}")
     print("each 3-cycle factor starts its sum at one element, so subsets that")
     print("miss one cycle entirely are excluded by the formula but not by the event")
+    engine = independence_probability(build_diff_graph(n, k).components, p) - (1 - p) ** n
+    print(f"the engine on the two 3-cycles, less the empty set: {engine}, "
+          f"equal to the enumeration: {engine == enum}")
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .exact import (
     expected_missing_sums_asymptotic,
     f_series,
     gauge_functions,
+    independence_probability,
     lucas,
     path_count,
     prob_both_sums_missing,
@@ -42,7 +43,6 @@ from .exact import (
     theoretical_targets,
 )
 from .graphs import (
-    Classification,
     OracleMoments,
     PairGraph,
     build_diff_graph,

@@ -149,7 +149,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--include-empty", action="store_true",
                     help="include A = empty set in the event probability")
 
-    sp = sub.add_parser("graphs", help="build and classify a pair graph")
+    sp = sub.add_parser("graphs", help="build a pair graph and list its components")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--mode", choices=("sum", "diff"), required=True)
     sp.add_argument("--i", type=int)
@@ -230,19 +230,27 @@ def _build_regime_spec(args, n_values: list[int]) -> tuple[RegimeSpec, dict]:
     return spec, config
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail on an unwritable output before the sweep, emptying no file."""
+    for path in paths:
+        if path:
+            open(path, "a").close()
+
+
 def _open_out(path: str | None):
     """Open an output file for writing, or pass stdout through (left open).
 
-    The commands open their outputs before the sweep, so an unwritable path
-    fails before any trial runs.
+    The commands open (and empty) their outputs after the sweep, so a failed
+    run leaves an existing file as it was.
     """
     return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_sample(args) -> int:
     spec, config = _build_regime_spec(args, [args.n])
+    _check_writable(args.out)
+    result = run_sweep(spec)
     with _open_out(args.out) as out:
-        result = run_sweep(spec)
         experiments.write_trials_csv(result.records, out, config)
     agg = result.aggregates[0]
     print(f"n={agg.n} trials={agg.trials} mean|A|={agg.mean_card:.2f} "
@@ -254,8 +262,9 @@ def cmd_sample(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec, config = _build_regime_spec(args, list(args.n))
+    _check_writable(args.out, args.report)
+    result = run_sweep(spec)
     with _open_out(args.out) as out, _open_out(args.report) as report_out:
-        result = run_sweep(spec)
         if args.out:
             experiments.write_trials_csv(result.records, out, config)
         report = experiments.report_as_dict(result, spec, config)
@@ -314,15 +323,14 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _comparison(name: str, oracle_value: Fraction, closed: Fraction,
-                asserted: bool) -> dict:
+def _comparison(name: str, oracle_value: Fraction, closed: Fraction) -> dict:
     return {
         "comparison": name,
         "oracle": _frac_str(oracle_value),
         "closed_form": _frac_str(closed),
         "equal": oracle_value == closed,
         "delta": _frac_str(oracle_value - closed),
-        "asserted": asserted,
+        "asserted": True,
     }
 
 
@@ -338,62 +346,51 @@ def _sums_missing(a):
     return graphs.event_sums_missing(a.i, a.j)
 
 
-# event -> (required flags, its predicate, its closed form); a closed form is
-# (name, value, asserted) or None, and an asserted value counts A = empty.
-# Each form is asserted exactly where its pair graph has the shape it assumes.
+# event -> (required flags, comparison name, its predicate, its pair graph);
+# the closed form is the graph's independence probability, asserted at every n
 _EVENTS = {
-    "diff-missing": (("k",), _diff_missing, lambda a: (
-        # gcd(n, k) = 1: one n-cycle; prob_diff_missing counts nonempty A only
-        ("P(k not in A-A)", exact.prob_diff_missing(a.n, a.p) + (1 - a.p) ** a.n, True)
-        if math.gcd(a.n, a.k) == 1 else
-        ("P(k not in A-A) [per-cycle-nonempty form; not asserted]",
-         exact.prob_diff_missing_composite(a.n, a.k, a.p), False))),
-    "sum-missing": (("i",), lambda a: graphs.event_sum_missing(a.i), lambda a: (
-        ("P(i not in A+A)", exact.expected_missing_sums(a.n, a.p) / a.n, True)
-        if a.n % 2 == 1 else None)),
-    "both-sums-missing": (("i", "j"), _sums_missing, lambda a: (
-        ("P(i,j not in A+A)", exact.prob_both_sums_missing(a.n, a.p), True)
-        if graphs.build_sum_graph(a.n, a.i, a.j).kind.kind == "path_with_end_loops"
-        else None)),
+    "diff-missing": (("k",), "P(k not in A-A)", _diff_missing,
+                     lambda a: graphs.build_diff_graph(a.n, a.k)),
+    "sum-missing": (("i",), "P(i not in A+A)", lambda a: graphs.event_sum_missing(a.i),
+                    lambda a: graphs.build_sum_graph(a.n, a.i)),
+    "both-sums-missing": (("i", "j"), "P(i,j not in A+A)", _sums_missing,
+                          lambda a: graphs.build_sum_graph(a.n, a.i, a.j)),
 }
 
 
 def cmd_oracle(args) -> int:
     n, p = args.n, args.p
     q = 1 - p
-    comparisons: list[dict] = []
     if args.moments:
         mom = graphs.oracle_moments(n, p)
-        if n % 2 == 1:
-            comparisons.append(_comparison(
-                "E_Sc", mom.E_Sc, exact.expected_missing_sums(n, p), asserted=True))
-        if is_prime(n):
-            closed_dc = (n - 1) * exact.prob_diff_missing(n, p) + n * q ** n
-            comparisons.append(_comparison("E_Dc", mom.E_Dc, closed_dc, asserted=True))
+        # S^c and D^c count the missing targets; 0 is in A-A unless A is empty
+        sums = (graphs.build_sum_graph(n, s) for s in range(n))
+        diffs = (graphs.build_diff_graph(n, k) for k in range(1, n))
+        closed_sc = sum(exact.independence_probability(g.components, p) for g in sums)
+        closed_dc = q ** n + sum(exact.independence_probability(g.components, p) for g in diffs)
+        comparisons = [_comparison("E_Sc", mom.E_Sc, closed_sc),
+                       _comparison("E_Dc", mom.E_Dc, closed_dc)]
         out = {"n": n, "p": _frac_str(p),
                "moments": {k: _frac_str(v) for k, v in asdict(mom).items()},
                "comparisons": comparisons}
     elif args.event:
-        flags, predicate, closed_form = _EVENTS[args.event]
+        flags, name, predicate, graph = _EVENTS[args.event]
         _need(args, args.event, *flags)
         include_empty = bool(args.include_empty)
         event = predicate(args)
-        # the oracle first: it caps n before a closed form or a graph is built
+        # the oracle first: it caps n before a graph is built
         value = graphs.oracle_event_probability(n, p, event, include_empty_set=include_empty)
-        comparison = closed_form(args)
-        if comparison is not None:
-            name, closed, asserted = comparison
-            if asserted and not include_empty:
-                closed -= q ** n  # empty-set bridge: A = empty misses every target
-            comparisons.append(_comparison(name, value, closed, asserted))
+        closed = exact.independence_probability(graph(args).components, p)
+        if not include_empty:
+            closed -= q ** n  # A = empty misses every target
+        comparisons = [_comparison(name, value, closed)]
         out = {"n": n, "p": _frac_str(p), "event": args.event,
                "include_empty_set": include_empty,
                "oracle": _frac_str(value), "comparisons": comparisons}
     else:
         raise ParameterError("oracle needs --moments or --event")
     print(json.dumps(out, indent=2))
-    failed = [c for c in comparisons if c["asserted"] and not c["equal"]]
-    return EXIT_ASSERTION if failed else EXIT_OK
+    return EXIT_OK if all(c["equal"] for c in comparisons) else EXIT_ASSERTION
 
 
 def cmd_graphs(args) -> int:
@@ -405,20 +402,15 @@ def cmd_graphs(args) -> int:
         _need(args, "diff mode", "k")
         g = graphs.build_diff_graph(args.n, args.k)
         title = f"difference graph n={args.n} k={args.k}"
-    kind = g.kind
+    components = list(g.components)  # (kind, vertices, end loops, count) entries
     if args.dot:
-        lines = [f"graph modset {{  // {title}; kind={kind.kind}"]
+        lines = [f"graph modset {{  // {title}; components={components}"]
         lines += [f"  {a} -- {b};" for a, b in g.edges]
         lines.append("}")
         print("\n".join(lines))
     else:
         print(title)
-        desc = kind.kind
-        if kind.kind == "path_with_end_loops":
-            desc += f", loops at {list(kind.loop_vertices)}"
-        elif kind.kind in ("single_cycle", "disjoint_cycles"):
-            desc += f", {kind.cycle_count} cycle(s) of length {kind.cycle_length}"
-        print(f"classification: {desc}")
+        print(f"components: {components}")
         print(f"edges: {list(g.edges)}")
     return EXIT_OK
 

@@ -6,12 +6,11 @@ log-domain gauge functions and in the regime targets, where the quantities are
 compared against Monte Carlo output.  _binomial(a, b) = 0 whenever b < 0,
 b > a, or a < 0, which makes every series below total without case splits.
 
-The series F(n) (a path) and P(k not in A-A) (cycles) are independent-set
-polynomials: each is one value of the Lucas sequence `_lucas_u`, divided by
-b^n once at the end (`_over_power`, gcd-free for dyadic p).  Every other
-pair-graph weight is an identity on these two: P(i, j not in A+A) is
-(1-p) F(n-1), and P(k not in A-A) for k coprime to n is the g = 1 case of the
-g-cycle form.
+Every missing-target event is "A is independent in a pair graph" of
+loop-ended paths and cycles, and `independence_probability` weighs its
+component list: one Lucas-sequence value (`_lucas_u`) per distinct component,
+divided by b^n once (`_over_power`, gcd-free for dyadic p).  The named closed
+forms keep shorter evaluations of their one graph, pinned to it by the tests.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ __all__ = [
     "path_count",
     "cycle_count",
     "lucas",
+    "independence_probability",
     "f_series",
     "expected_missing_sums",
     "expected_missing_sums_asymptotic",
@@ -135,11 +135,8 @@ def _lucas_u(P: int, Q: int, n: int) -> tuple[int, int]:
 
     Doubling from the top bit of n down, with U_{2k} = U_k (2 U_{k+1} - P U_k)
     and U_{2k+1} = U_{k+1}^2 - Q U_k^2: three big multiplications per bit.
-
-    For p = a/b, d = b - a, P = d and Q = -a d (the transfer matrix
-    [[d, a], [d, 0]], weight a per vertex in A and d per vertex outside):
-    b^m F(m) = U_{m+1}, and b^m P(independent on the m-cycle) = V_m =
-    2 U_{m+1} - d U_m, the trace of the m-th power.
+    For p = a/b, P = d = b - a and Q = -a d it weighs paths and cycles
+    (`independence_probability`); b^m F(m) = U_{m+1}.
     """
     u, u1 = 0, 1
     for bit in bin(n)[2:]:
@@ -169,6 +166,30 @@ def _lucas_at(p, m: int) -> tuple[int, int, int, int, int]:
     p = _as_probability(p)
     a, b = p.numerator, p.denominator
     return (a, b, b - a, *_lucas_u(b - a, -a * (b - a), m))
+
+
+def independence_probability(components, p) -> Fraction:
+    """P(A is independent) in a pair graph given by its component list.
+
+    Each entry is (kind, m, end loops, count) as `graphs.PairGraph.components`
+    gives it.  With p = a/b, d = b - a and the transfer matrix [[d, a], [d, 0]]
+    (weight a in A, d outside), a path of m vertices and l end loops weighs
+    d^l (U_{m-l+1} + a U_{m-l}) (its looped ends stay out of A), an m-cycle
+    the trace V_m = 2 U_{m+1} - d U_m; the product is divided by b^n once.
+    The empty set counts.
+    """
+    p = _as_probability(p)
+    a, b = p.numerator, p.denominator
+    d = b - a
+    num, n = 1, 0
+    for kind, m, loops, count in components:
+        if count < 0 or not (kind == "path" and 0 <= loops <= min(m, 2)
+                             or kind == "cycle" and loops == 0 and m >= 1):
+            raise ParameterError(f"not a path or cycle component: {(kind, m, loops, count)}")
+        u, u1 = _lucas_u(d, -a * d, m - loops)
+        num *= (2 * u1 - d * u if kind == "cycle" else d ** loops * (u1 + a * u)) ** count
+        n += m * count
+    return _over_power(num, b, n)
 
 
 def f_series(n: int, p) -> Fraction:
@@ -214,11 +235,9 @@ def expected_missing_sums(n: int, p) -> Fraction:
     """Exact expected number of residues missing from A+A, for odd n.
 
     Each residue s has (n-1)/2 disjoint two-element representations plus the
-    single self-representation h + h = s, so
-
-        P(s not in A+A) = (1 - p)(1 - p^2)^((n-1)/2)
-
-    and the expectation is n times that.  (The often-quoted form
+    single self-representation h + h = s (a sum graph of (n-1)/2 edges and one
+    looped vertex), so P(s not in A+A) = (1 - p)(1 - p^2)^((n-1)/2) and the
+    expectation is n times that.  (The often-quoted form
     n (1-p^2)^((n+1)/2) treats the self-representation as an independent
     pair and is off by a factor 1+p; see expected_missing_sums_asymptotic.)
     """
@@ -243,14 +262,10 @@ def prob_diff_missing(n: int, p) -> Fraction:
     """P(k not in A-A) for any k coprime to n (any k != 0 at prime n), A nonempty.
 
     A misses the difference k exactly when A is independent in the n-cycle
-    obtained by joining a to a+k, so the probability is the weighted count of
-    nonempty independent sets:
-
-        sum_{r=1}^{floor(n/2)} [C(n-r+1, r) - C(n-r-1, r-2)] p^r (1-p)^(n-r).
-
-    Starting at r = 1 excludes the empty set; adding (1-p)^n (the r = 0 term)
-    recovers the unconditioned probability over all subsets.  This is the
-    g = 1 case of `prob_diff_missing_composite`.
+    joining a to a+k, so this is the weighted count of its nonempty independent
+    sets, sum_{r>=1} [C(n-r+1, r) - C(n-r-1, r-2)] p^r (1-p)^(n-r); adding
+    (1-p)^n, the empty set, gives the n-cycle's `independence_probability`.
+    This is the g = 1 case of `prob_diff_missing_composite`.
     """
     return prob_diff_missing_composite(n, 1, p)
 
@@ -263,8 +278,8 @@ def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
     (prob_diff_missing(m, p))^g, computed as (V_m - d^m)^g / b^n.
 
     For g = 1 this is prob_diff_missing.  For g > 1 the per-cycle
-    nonemptiness makes it deviate from the enumerated probability; it is
-    reported, not asserted, against the oracle.
+    nonemptiness makes it deviate from the enumerated probability, which is
+    the unconditioned weight of the g cycles (`independence_probability`).
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
@@ -279,13 +294,10 @@ def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
 def prob_both_sums_missing(n: int, p) -> Fraction:
     """P(i not in A+A and j not in A+A) for any i, j with gcd(n, i - j) = 1.
 
-    The pair graph on the two target sums is then a path of n vertices with a
-    loop on each endpoint (at prime n, for every i != j): the endpoints must
-    stay out of A (factor (1-p)^2) and the n-2 interior vertices must form an
-    independent set of the path.
-    Since F(m) = (1-p) P(independent on the (m-1)-vertex path),
-
-        P = (1-p)^2 P(independent on the (n-2)-vertex path) = (1-p) F(n-1).
+    The pair graph is then a path of n vertices with a loop on each end (at
+    prime n, for every i != j).  Its ends stay out of A, and F(m) = (1-p) P(the
+    (m-1)-vertex path is independent), so P = (1-p)^2 P(the (n-2)-vertex path
+    is independent) = (1-p) F(n-1).
     """
     if n < 2:
         raise ParameterError("n must be >= 2")

@@ -1,10 +1,14 @@
 """Pair graphs for missing-sum/difference events, plus a 2^n enumeration oracle.
 
-The graph with an edge {a, b} whenever a+b hits one of two target sums (or
+The graph with an edge {a, b} whenever a+b hits one or two target sums (or
 a-b hits a target difference) turns "those targets are missing" into "A is an
-independent set".  For prime n the sum graph is a path with a loop on each
-endpoint and the difference graph is a single n-cycle; for composite n the
-difference graph splits into gcd(n, k) cycles of length n / gcd(n, k).
+independent set".  A vertex a has neighbours only among t - a for the targets
+t, and a loop at a uses one of them, so every pair graph is a disjoint union
+of loop-ended paths and loop-free cycles: `PairGraph.components` lists them
+and `exact.independence_probability` weighs that list.  For prime n the
+two-target sum graph is one path with a loop on each end and the difference
+graph is one n-cycle; for composite n the difference graph splits into
+gcd(n, k) cycles of length n / gcd(n, k).
 
 The oracle enumerates all 2^n subsets with weight p^|A| (1-p)^(n-|A|) and is
 exact: satisfying subsets are tallied per cardinality as integers and the
@@ -34,7 +38,6 @@ ORACLE_MAX_N = 22  # masks are uint32, so the cap must stay below 32
 
 __all__ = [
     "PairGraph",
-    "Classification",
     "build_sum_graph",
     "build_diff_graph",
     "event_diff_missing",
@@ -47,14 +50,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Classification:
-    kind: str  # "path_with_end_loops" | "single_cycle" | "disjoint_cycles" | "other"
-    cycle_count: int | None = None
-    cycle_length: int | None = None
-    loop_vertices: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class PairGraph:
     """Undirected graph on vertices 0..n-1; loops allowed; edges deduplicated."""
 
@@ -62,63 +57,64 @@ class PairGraph:
     edges: tuple[tuple[int, int], ...]
 
     @cached_property
-    def kind(self) -> Classification:
-        """Structural classification from degrees and connectivity alone."""
-        return _classify(self.n, self.edges)
+    def components(self) -> tuple[tuple[str, int, int, int], ...]:
+        """Sorted (kind, vertices, end loops, count) per distinct component,
+        kind "path" or "cycle"; a 2-cycle is one edge, so a 2-vertex path.
+        A graph that is not loop-ended paths and cycles raises ParameterError."""
+        return _components(self.n, self.edges)
 
 
 def _normalize_edges(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({(a, b) if a <= b else (b, a) for a, b in pairs}))
 
 
-def build_sum_graph(n: int, i: int, j: int) -> PairGraph:
-    """Edges {a, b} with a+b = i or a+b = j (mod n); a loop at v means 2v hits a target."""
-    if n < 2:
-        raise ParameterError("n must be >= 2")
-    if (i - j) % n == 0:
+def build_sum_graph(n: int, *targets: int) -> PairGraph:
+    """Edges {a, b} with a+b at one or two targets (mod n); a loop: 2a hits one."""
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    if len(targets) not in (1, 2):
+        raise ParameterError("a sum graph needs one or two target sums")
+    if len({t % n for t in targets}) < len(targets):
         raise ParameterError("the two target sums must differ")
-    return PairGraph(n, _normalize_edges((a, (s - a) % n) for s in (i, j) for a in range(n)))
+    return PairGraph(n, _normalize_edges((a, (s - a) % n) for s in targets for a in range(n)))
 
 
 def build_diff_graph(n: int, k: int) -> PairGraph:
     """Edges {a, a+k mod n} for all a; loops impossible since k != 0."""
-    if n < 2:
-        raise ParameterError("n must be >= 2")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
     if k % n == 0:
         raise ParameterError("k must be a nonzero residue")
     return PairGraph(n, _normalize_edges((a, (a + k) % n) for a in range(n)))
 
 
-def _classify(n: int, edges: tuple[tuple[int, int], ...]) -> Classification:
-    loops = tuple(sorted(a for a, b in edges if a == b))
-    simple = [(a, b) for a, b in edges if a != b]
-    root = list(range(n))  # union-find forest over the loop-free graph
+def _components(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
+    root = list(range(n))  # union-find forest over the loop-free edges
 
     def find(v: int) -> int:
         while root[v] != v:
             root[v] = v = root[root[v]]
         return v
 
-    degree = [0] * n
-    for a, b in simple:
-        degree[a] += 1
-        degree[b] += 1
-        root[find(a)] = find(b)
-    sizes = list(Counter(map(find, range(n))).values())  # component sizes
-
-    # one component, a path of all n vertices with loops exactly at its two ends
-    if (len(loops) == 2 and len(sizes) == 1 and len(simple) == n - 1
-            and max(degree, default=0) <= 2
-            and [v for v in range(n) if degree[v] <= 1] == list(loops)):
-        return Classification("path_with_end_loops", loop_vertices=loops)
-
-    # equal-size components, all cycles: degree 2 each, or one edge for the
-    # collapsed double edge of a 2-cycle
-    m = min(sizes, default=0)
-    if not loops and m >= 2 and max(sizes) == m and all(d == min(m - 1, 2) for d in degree):
-        kind = "single_cycle" if len(sizes) == 1 else "disjoint_cycles"
-        return Classification(kind, cycle_count=len(sizes), cycle_length=m)
-    return Classification("other", loop_vertices=loops)
+    degree, looped = [0] * n, [False] * n
+    for a, b in edges:
+        if a == b:
+            looped[a] = True
+        else:
+            degree[a] += 1
+            degree[b] += 1
+            root[find(a)] = find(b)
+    # a connected graph with no degree above 2 is a path or a cycle, and a
+    # loop may only sit on a path's end
+    if any(d > 2 or loop and d == 2 for d, loop in zip(degree, looped)):
+        raise ParameterError("pair graph is not a union of loop-ended paths and cycles")
+    tally: dict[int, tuple[int, int, int]] = {}  # root -> (vertices, degree sum, loops)
+    for v in range(n):
+        m, deg, loops = tally.get(r := find(v), (0, 0, 0))
+        tally[r] = (m + 1, deg + degree[v], loops + looped[v])
+    shapes = Counter(("cycle" if deg == 2 * m else "path", m, loops)
+                     for m, deg, loops in tally.values())
+    return tuple(sorted((*shape, count) for shape, count in shapes.items()))
 
 
 # ---------------------------------------------------------------------------

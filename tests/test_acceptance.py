@@ -279,22 +279,19 @@ def test_criterion_8c_delta_04_decays_beyond_turnover():
 
 
 def test_criterion_9_graph_structure():
+    def cycles(count, m):  # a 2-cycle is one edge, a 2-vertex path
+        return (("cycle", m, 0, count) if m > 2 else ("path", 2, 0, count),)
+
     for n in (2, 3, 5, 7, 11, 13, 17, 19):
         for i in range(n):
             for j in range(i + 1, n):
-                assert build_sum_graph(n, i, j).kind.kind == "path_with_end_loops"
+                assert build_sum_graph(n, i, j).components == (("path", n, 2, 1),)
         for k in range(1, n):
-            kind = build_diff_graph(n, k).kind
-            assert kind.kind == "single_cycle" and kind.cycle_length == n
+            assert build_diff_graph(n, k).components == cycles(1, n)
     for n in range(2, 19):
         for k in range(1, n):
             d = math.gcd(n, k)
-            kind = build_diff_graph(n, k).kind
-            if d == 1:
-                assert (kind.kind, kind.cycle_length) == ("single_cycle", n)
-            else:
-                assert (kind.kind, kind.cycle_count, kind.cycle_length) == \
-                    ("disjoint_cycles", d, n // d)
+            assert build_diff_graph(n, k).components == cycles(d, n // d)
     announce(" 9", True,
              "all prime n <= 19: sum graphs are loop-ended paths, difference graphs "
              "single n-cycles; all n <= 18: difference graphs split into gcd(n,k) "

@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: outputs, determinism, config file, exit codes."""
 
 import json
-import math
 import random
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -281,42 +280,31 @@ class TestOracle:
         brute = sum((p ** len(A) * (1 - p) ** (n - len(A)) for A in sets if holds(A)),
                     Fraction(0))
         assert data["oracle"] == f"{brute.numerator}/{brute.denominator}"
-        comps = data["comparisons"]
-        if event == "diff-missing":  # the per-cycle-nonempty form, reported only
-            (comp,) = comps
-            closed = exact.prob_diff_missing_composite(n, k, p)
-            assert comp["asserted"] is False and comp["equal"] is False
-            assert comp["closed_form"] == f"{closed.numerator}/{closed.denominator}"
-        elif (event == "sum-missing" and n % 2 == 1
-              or event == "both-sums-missing" and math.gcd(n, j - i) == 1):
-            (comp,) = comps
-            assert comp["asserted"] is True and comp["equal"] is True
-        else:  # no closed form at even n (one sum) or off a loop-ended path (two sums)
-            assert comps == []
+        # every event is asserted at every modulus: several cycles (diff), a
+        # loop-free sum at even n (one sum), or paths and cycles (two sums)
+        (comp,) = data["comparisons"]
+        assert comp["asserted"] is True and comp["equal"] is True
+        assert comp["closed_form"] == data["oracle"] and comp["delta"] == "0/1"
 
-    @pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12, 14, 15, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 9, 10, 12, 14, 15, 16])
     def test_closed_forms_asserted_by_graph_shape(self, capsys, n):
-        # gcd(n, k) = 1 makes the difference graph one n-cycle, and
-        # gcd(n, j - i) = 1 makes the sum graph a path with a loop at each
-        # end; there the closed form is asserted at any modulus, prime or not
+        # whatever paths and cycles the pair graph splits into, at any
+        # modulus, each event and both moment means are asserted and equal
         def comparisons(*flags):
-            code, out, _ = run_cli(capsys, "oracle", "--n", str(n), "--p", "1/3",
-                                   "--event", *flags)
+            code, out, _ = run_cli(capsys, "oracle", "--n", str(n), "--p", "1/3", *flags)
             assert code == 0
             return json.loads(out)["comparisons"]
 
-        for k in range(1, n):
-            (comp,) = comparisons("diff-missing", "--k", str(k))
-            assert comp["asserted"] is (math.gcd(n, k) == 1)
-            assert comp["equal"] or not comp["asserted"]
-        for i in (0, 1):
-            for j in range(i + 1, n):
-                comps = comparisons("both-sums-missing", "--i", str(i), "--j", str(j))
-                if math.gcd(n, j - i) == 1:
-                    (comp,) = comps
-                    assert comp["asserted"] is True and comp["equal"] is True
-                else:
-                    assert comps == []
+        events = [("diff-missing", "--k", str(k)) for k in range(1, n)]
+        events += [("sum-missing", "--i", str(i)) for i in range(n)]
+        events += [("both-sums-missing", "--i", str(i), "--j", str(j))
+                   for i in (0, 1) for j in range(i + 1, n)]
+        for event in events:
+            (comp,) = comparisons("--event", *event)
+            assert comp["asserted"] is True and comp["equal"] is True
+        comps = comparisons("--moments")
+        assert [c["comparison"] for c in comps] == ["E_Sc", "E_Dc"]
+        assert all(c["asserted"] and c["equal"] for c in comps)
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     @pytest.mark.parametrize("flags, message", [
@@ -338,21 +326,24 @@ class TestOracle:
             code, out, err = run_cli(capsys, "oracle", "--n", n, "--p", "1/2", "--event", *flags)
             assert (code, out) == (1, "") and err.startswith("error: n must be >= ")
 
-    def test_diff_missing_composite_not_asserted(self, capsys):
+    def test_diff_missing_composite_asserted(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "6", "--p", "1/2",
                                "--event", "diff-missing", "--k", "2")
-        assert code == 0  # deviation reported, not asserted
-        comp = json.loads(out)["comparisons"][0]
-        assert comp["asserted"] is False
-        assert comp["equal"] is False
-        assert comp["delta"] != "0"
+        assert code == 0
+        (comp,) = json.loads(out)["comparisons"]
+        assert comp["comparison"] == "P(k not in A-A)"
+        assert comp["asserted"] is True and comp["equal"] is True and comp["delta"] == "0/1"
+        # two 3-cycles, unconditioned: not the per-cycle-nonempty product form
+        per_cycle = exact.prob_diff_missing_composite(6, 2, Fraction(1, 2))
+        assert comp["closed_form"] != f"{per_cycle.numerator}/{per_cycle.denominator}"
 
     def test_moments(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "7", "--p", "1/2", "--moments")
         assert code == 0
         data = json.loads(out)
         assert data["moments"]["E_Sc"] == "189/128"
-        assert all(c["equal"] for c in data["comparisons"])
+        assert [c["comparison"] for c in data["comparisons"]] == ["E_Sc", "E_Dc"]
+        assert all(c["equal"] and c["asserted"] for c in data["comparisons"])
 
     def test_moments_above_the_old_cap(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "19", "--p", "1/2", "--moments")
@@ -367,8 +358,8 @@ class TestOracle:
 
     def test_assertion_exit_code(self, capsys, monkeypatch):
         # force a closed-form mismatch to exercise the asserted-failure path
-        monkeypatch.setattr(exact, "prob_diff_missing",
-                            lambda n, p: Fraction(1, 3))
+        monkeypatch.setattr(exact, "independence_probability",
+                            lambda components, p: Fraction(1, 3))
         code, out, _ = run_cli(capsys, "oracle", "--n", "5", "--p", "1/2",
                                "--event", "diff-missing", "--k", "1")
         assert code == 2
@@ -380,21 +371,23 @@ class TestGraphs:
         code, out, _ = run_cli(capsys, "graphs", "--n", "7", "--mode", "sum",
                                "--i", "2", "--j", "5")
         assert code == 0
-        assert "path_with_end_loops" in out and "[1, 6]" in out
+        assert "components: [('path', 7, 2, 1)]" in out
+        assert "(1, 1)" in out and "(6, 6)" in out  # the end loops
 
     def test_diff_graph_prime(self, capsys):
         code, out, _ = run_cli(capsys, "graphs", "--n", "7", "--mode", "diff", "--k", "2")
-        assert code == 0 and "single_cycle" in out
+        assert code == 0 and "components: [('cycle', 7, 0, 1)]" in out
 
     def test_diff_graph_composite(self, capsys):
         code, out, _ = run_cli(capsys, "graphs", "--n", "6", "--mode", "diff", "--k", "2")
-        assert code == 0 and "disjoint_cycles" in out and "2 cycle(s) of length 3" in out
+        assert code == 0 and "components: [('cycle', 3, 0, 2)]" in out
 
     def test_dot_output(self, capsys):
         code, out, _ = run_cli(capsys, "graphs", "--n", "5", "--mode", "diff",
                                "--k", "1", "--dot")
         assert code == 0
         assert out.startswith("graph modset {") and "--" in out
+        assert "components=[('cycle', 5, 0, 1)]" in out.splitlines()[0]
 
 
 class TestSweepCommand:
@@ -459,6 +452,24 @@ class TestSweepCommand:
         assert code == 3
         assert err.startswith("resource limit: FileNotFoundError")
         assert calls == []
+
+    @pytest.mark.parametrize("failure", ["unwritable report", "failed sweep"])
+    def test_failed_run_keeps_an_existing_out(self, capsys, monkeypatch, tmp_path, failure):
+        def failing_sweep(spec):
+            raise MemoryError()
+
+        out, report = tmp_path / "t.csv", tmp_path / "r.json"
+        out.write_text("kept\n")
+        if failure == "unwritable report":
+            report = tmp_path / "absent" / "r.json"
+        else:
+            report.write_text("kept\n")
+            monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        code, _, _ = run_cli(capsys, "sweep", "--p", "1/2", "--n", "7", "--trials", "1",
+                             "--workers", "1", "--out", str(out), "--report", str(report))
+        assert code == 3
+        assert out.read_text() == "kept\n"
+        assert failure == "unwritable report" or report.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["sample", "sweep"])
     def test_parameter_error_leaves_outputs_untouched(self, capsys, tmp_path, command):

@@ -14,6 +14,7 @@ from modsetlab import (
     expected_missing_sums_asymptotic,
     f_series,
     gauge_functions,
+    independence_probability,
     lucas,
     oracle_event_probability,
     oracle_moments,
@@ -22,6 +23,7 @@ from modsetlab import (
     prob_diff_missing,
     prob_diff_missing_composite,
     theoretical_targets,
+    build_diff_graph,
     event_diff_missing,
     event_sums_missing,
 )
@@ -181,6 +183,49 @@ class TestLucasPrimitive:
                     assert value.denominator == 1 and value in (0, 1)
 
 
+def path(m, loops, count=1):
+    return ("path", m, loops, count)
+
+
+class TestIndependenceEngine:
+    """The named closed forms keep their own evaluations; each equals the
+    engine's weight on the component list of its pair graph."""
+
+    @pytest.mark.parametrize("n", [*range(1, 60), 501, 2003])
+    def test_closed_forms_are_component_weights(self, n):
+        for p in (Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(1)):
+            q = 1 - p
+            assert f_series(n, p) == independence_probability([path(n, 1)], p)
+            if n >= 2:
+                assert prob_both_sums_missing(n, p) == independence_probability([path(n, 2)], p)
+                assert prob_diff_missing(n, p) + q ** n == \
+                    independence_probability([("cycle", n, 0, 1)], p)
+            if n % 2:  # each sum: (n-1)/2 disjoint pairs and one self-representation
+                assert expected_missing_sums(n, p) == n * independence_probability(
+                    [path(1, 1), path(2, 0, (n - 1) // 2)], p)
+
+    def test_small_weights(self):
+        p = Fraction(1, 3)
+        q = 1 - p
+        assert independence_probability([], p) == 1
+        assert independence_probability([path(0, 0, 5)], p) == 1
+        assert independence_probability([path(1, 0, 3)], p) == 1
+        assert independence_probability([path(1, 1, 3)], p) == q ** 3
+        assert independence_probability([path(2, 0)], p) == q * q + 2 * p * q
+        # a 2-cycle and a 1-cycle read as the edge and the looped vertex they collapse to
+        assert independence_probability([("cycle", 2, 0, 1)], p) == q * q + 2 * p * q
+        assert independence_probability([("cycle", 1, 0, 1)], p) == q
+        assert independence_probability([("cycle", 3, 0, 2), path(2, 1)], p) == \
+            (q ** 3 + 3 * p * q * q) ** 2 * q * (q + p)
+
+    @pytest.mark.parametrize("component", [("star", 3, 0, 1), path(1, 2), path(4, 3),
+                                           ("cycle", 4, 1, 1), ("cycle", 0, 0, 1),
+                                           path(2, 0, -1)])
+    def test_outside_the_family_rejected(self, component):
+        with pytest.raises(ParameterError, match="not a path or cycle component"):
+            independence_probability([component], Fraction(1, 2))
+
+
 class TestMissingSums:
     def test_trivial_endpoints(self):
         assert expected_missing_sums(7, Fraction(0)) == 7
@@ -259,6 +304,9 @@ class TestMissingDiffProbability:
                                               include_empty_set=False)
         assert formula != enumerated
         assert abs(formula - enumerated) < Fraction(1, 8)
+        # the unconditioned weight of the two 3-cycles is the enumerated value
+        weight = independence_probability(build_diff_graph(n, k).components, p)
+        assert enumerated == weight - (1 - p) ** n
 
     def test_zero_residue_rejected(self):
         with pytest.raises(ParameterError):

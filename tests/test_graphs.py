@@ -8,7 +8,6 @@ import pytest
 
 from modsetlab import graphs
 from modsetlab import (
-    Classification,
     PairGraph,
     ParameterError,
     ResidueSet,
@@ -19,6 +18,7 @@ from modsetlab import (
     event_diff_missing,
     event_sum_missing,
     event_sums_missing,
+    independence_probability,
     is_prime,
     oracle_event_probability,
     oracle_moments,
@@ -32,29 +32,39 @@ from references import independence_event_holds, oracle_mean
 PRIMES_19 = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
+def loop_vertices(g):
+    return tuple(a for a, b in g.edges if a == b)
+
+
 class TestBuild:
     def test_sum_graph_7_2_5(self):
         g = build_sum_graph(7, 2, 5)
         expected = {(0, 2), (1, 1), (3, 6), (4, 5), (0, 5), (1, 4), (2, 3), (6, 6)}
         assert set(g.edges) == expected
-        assert g.kind.kind == "path_with_end_loops"
-        assert g.kind.loop_vertices == (1, 6)
+        assert g.components == (("path", 7, 2, 1),)
+        assert loop_vertices(g) == (1, 6)
 
     def test_sum_graph_5_0_1(self):
         g = build_sum_graph(5, 0, 1)
-        assert g.kind.kind == "path_with_end_loops"
-        assert g.kind.loop_vertices == (0, 3)
+        assert g.components == (("path", 5, 2, 1),)
+        assert loop_vertices(g) == (0, 3)
+
+    def test_one_target_sum_graphs(self):
+        # disjoint edges a + b = s, plus a loop wherever 2a = s
+        assert build_sum_graph(7, 2).components == (("path", 1, 1, 1), ("path", 2, 0, 3))
+        assert build_sum_graph(8, 3).components == (("path", 2, 0, 4),)
+        g = build_sum_graph(8, 2)
+        assert g.components == (("path", 1, 1, 2), ("path", 2, 0, 3))
+        assert loop_vertices(g) == (1, 5)
+        assert build_sum_graph(1, 0).components == (("path", 1, 1, 1),)
 
     def test_diff_graph_7_2_cycle(self):
         g = build_diff_graph(7, 2)
         assert set(g.edges) == {(0, 2), (2, 4), (4, 6), (1, 6), (1, 3), (3, 5), (0, 5)}
-        assert g.kind.kind == "single_cycle"
-        assert g.kind.cycle_length == 7
+        assert g.components == (("cycle", 7, 0, 1),)
 
     def test_diff_graph_composite(self):
-        g = build_diff_graph(6, 2)
-        assert g.kind.kind == "disjoint_cycles"
-        assert (g.kind.cycle_count, g.kind.cycle_length) == (2, 3)
+        assert build_diff_graph(6, 2).components == (("cycle", 3, 0, 2),)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -62,45 +72,58 @@ class TestBuild:
         with pytest.raises(ParameterError):
             build_sum_graph(7, -4, 10)  # both are 3 mod 7
         with pytest.raises(ParameterError):
+            build_sum_graph(1, 0, 1)
+        with pytest.raises(ParameterError, match="one or two target sums"):
+            build_sum_graph(7)
+        with pytest.raises(ParameterError, match="one or two target sums"):
+            build_sum_graph(7, 1, 2, 3)
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            build_sum_graph(0, 1)
+        with pytest.raises(ParameterError):
             build_diff_graph(7, 0)
         with pytest.raises(ParameterError):
             build_diff_graph(7, 14)
+        with pytest.raises(ParameterError):
+            build_diff_graph(1, 1)
 
 
-def _other(*loops):
-    return Classification("other", loop_vertices=loops)
+def _cycles(count, m):
+    """count m-cycles; an m = 2 cycle is one edge, so a 2-vertex path."""
+    return (("cycle", m, 0, count) if m > 2 else ("path", 2, 0, count),)
 
 
-# hand-built graphs that reach every branch of the classifier
+# hand-built graphs that reach every branch of the decomposition; a graph that
+# is not loop-ended paths and cycles is a ParameterError
 HAND_BUILT = {
-    "n0": (PairGraph(0, ()), _other()),
-    "single-vertex": (PairGraph(1, ()), _other()),
-    "single-loop": (PairGraph(1, ((0, 0),)), _other(0)),
-    "loop-ended-edge": (PairGraph(2, ((0, 0), (0, 1), (1, 1))),
-                        Classification("path_with_end_loops", loop_vertices=(0, 1))),
-    "two-loops-no-edge": (PairGraph(2, ((0, 0), (1, 1))), _other(0, 1)),
-    "triangle-and-isolated-vertex": (PairGraph(4, ((0, 1), (0, 2), (1, 2))), _other()),
-    "loop-on-a-cycle": (PairGraph(3, ((0, 0), (0, 1), (0, 2), (1, 2))), _other(0)),
+    "n0": (PairGraph(0, ()), ()),
+    "single-vertex": (PairGraph(1, ()), (("path", 1, 0, 1),)),
+    "single-loop": (PairGraph(1, ((0, 0),)), (("path", 1, 1, 1),)),
+    "loop-ended-edge": (PairGraph(2, ((0, 0), (0, 1), (1, 1))), (("path", 2, 2, 1),)),
+    "two-loops-no-edge": (PairGraph(2, ((0, 0), (1, 1))), (("path", 1, 1, 2),)),
+    "triangle-and-isolated-vertex": (PairGraph(4, ((0, 1), (0, 2), (1, 2))),
+                                     (("cycle", 3, 0, 1), ("path", 1, 0, 1))),
+    "loop-on-a-cycle": (PairGraph(3, ((0, 0), (0, 1), (0, 2), (1, 2))), ParameterError),
     "two-triangles": (PairGraph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
-                      Classification("disjoint_cycles", cycle_count=2, cycle_length=3)),
+                      (("cycle", 3, 0, 2),)),
     "unequal-cycles": (PairGraph(7, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 6), (4, 5), (5, 6))),
-                       _other()),
-    "two-paths": (PairGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5))), _other()),
-    "complete-k4": (PairGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))), _other()),
-    "path-without-loops": (PairGraph(4, ((0, 1), (1, 2), (2, 3))), _other()),
-    "path-one-end-loop": (PairGraph(4, ((0, 0), (0, 1), (1, 2), (2, 3))), _other(0)),
+                       (("cycle", 3, 0, 1), ("cycle", 4, 0, 1))),
+    "two-paths": (PairGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5))), (("path", 3, 0, 2),)),
+    "complete-k4": (PairGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+                    ParameterError),
+    "path-without-loops": (PairGraph(4, ((0, 1), (1, 2), (2, 3))), (("path", 4, 0, 1),)),
+    "path-one-end-loop": (PairGraph(4, ((0, 0), (0, 1), (1, 2), (2, 3))),
+                          (("path", 4, 1, 1),)),
     "path-loops-not-at-ends": (PairGraph(4, ((0, 0), (0, 1), (1, 2), (2, 2), (2, 3))),
-                               _other(0, 2)),
+                               ParameterError),
     "loop-ended-path-and-isolated-vertex": (PairGraph(4, ((0, 0), (0, 1), (1, 2), (2, 2))),
-                                            _other(0, 2)),
-    "star-with-loops": (PairGraph(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2))), _other(1, 2)),
-    "2-cycles-collapsed": (build_diff_graph(4, 2),
-                           Classification("disjoint_cycles", cycle_count=2, cycle_length=2)),
-    "2-cycle-n2": (build_diff_graph(2, 1),
-                   Classification("single_cycle", cycle_count=1, cycle_length=2)),
-    "sum-graph-9-0-3": (build_sum_graph(9, 0, 3), _other(0, 6)),
-    "sum-graph-8-1-2": (build_sum_graph(8, 1, 2),
-                        Classification("path_with_end_loops", loop_vertices=(1, 5))),
+                                            (("path", 1, 0, 1), ("path", 3, 2, 1))),
+    "star-with-loops": (PairGraph(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2))),
+                        ParameterError),
+    "2-cycles-collapsed": (build_diff_graph(4, 2), _cycles(2, 2)),
+    "2-cycle-n2": (build_diff_graph(2, 1), _cycles(1, 2)),
+    # 0 loop, 0-3-6, 6 loop; and the 6-cycle 1-8-4-5-7-2-1
+    "sum-graph-9-0-3": (build_sum_graph(9, 0, 3), (("cycle", 6, 0, 1), ("path", 3, 2, 1))),
+    "sum-graph-8-1-2": (build_sum_graph(8, 1, 2), (("path", 8, 2, 1),)),
 }
 
 
@@ -108,37 +131,72 @@ class TestClassify:
     @pytest.mark.parametrize("name", HAND_BUILT)
     def test_hand_built_graphs(self, name):
         g, expected = HAND_BUILT[name]
-        assert g.kind == expected
+        if expected is ParameterError:
+            with pytest.raises(ParameterError, match="not a union of loop-ended paths"):
+                g.components
+        else:
+            assert g.components == expected
 
     @pytest.mark.parametrize("n", PRIMES_19)
     def test_prime_sum_graphs_are_loop_ended_paths(self, n):
         for i in range(n):
             for j in range(i + 1, n):
-                kind = build_sum_graph(n, i, j).kind
-                assert kind.kind == "path_with_end_loops"
+                g = build_sum_graph(n, i, j)
+                assert g.components == (("path", n, 2, 1),)
                 # the loops sit where a residue doubles to a target
-                expected_loops = sorted(a for a in range(n)
-                                        if (2 * a) % n in (i, j))
-                assert list(kind.loop_vertices) == expected_loops
+                expected_loops = tuple(a for a in range(n) if (2 * a) % n in (i, j))
+                assert loop_vertices(g) == expected_loops
 
     @pytest.mark.parametrize("n", PRIMES_19)
     def test_prime_diff_graphs_are_single_cycles(self, n):
         for k in range(1, n):
-            kind = build_diff_graph(n, k).kind
-            assert kind.kind == "single_cycle"
-            assert kind.cycle_length == n
+            assert build_diff_graph(n, k).components == _cycles(1, n)
 
     @pytest.mark.parametrize("n", range(2, 19))
     def test_diff_graph_cycle_decomposition(self, n):
         for k in range(1, n):
             d = math.gcd(n, k)
-            kind = build_diff_graph(n, k).kind
-            if d == 1:
-                assert kind.kind == "single_cycle"
-                assert (kind.cycle_count, kind.cycle_length) == (1, n)
-            else:
-                assert kind.kind == "disjoint_cycles"
-                assert (kind.cycle_count, kind.cycle_length) == (d, n // d)
+            assert build_diff_graph(n, k).components == _cycles(d, n // d)
+
+
+def _all_pair_graphs(n):
+    """Every one-target sum graph, two-target sum graph and difference graph."""
+    return ([build_sum_graph(n, s) for s in range(n)]
+            + [build_sum_graph(n, i, j) for i in range(n) for j in range(i + 1, n)]
+            + [build_diff_graph(n, k) for k in range(1, n)])
+
+
+class TestEngine:
+    @pytest.mark.parametrize("name", [name for name, (_, expected) in HAND_BUILT.items()
+                                      if expected is not ParameterError])
+    def test_hand_built_weights(self, name):
+        g, _ = HAND_BUILT[name]
+        p = Fraction(2, 5)
+        independent = (mask for mask in range(1 << g.n)
+                       if not any(mask >> a & 1 and mask >> b & 1 for a, b in g.edges))
+        brute = sum((p ** m.bit_count() * (1 - p) ** (g.n - m.bit_count()) for m in independent),
+                    Fraction(0))
+        assert independence_probability(g.components, p) == brute
+
+    def test_census_and_oracle(self):
+        # every pair graph for n = 2..24 is loop-ended paths and cycles
+        for n in range(2, 25):
+            for g in _all_pair_graphs(n):
+                assert sum(m * count for _, m, _, count in g.components) == n
+        # and its weight is the enumerated probability of its event, both
+        # one by one and summed into the moment means
+        for n in range(1, 13):
+            events = ([(event_sum_missing(s), build_sum_graph(n, s)) for s in range(n)]
+                      + [(event_diff_missing(k), build_diff_graph(n, k)) for k in range(1, n)]
+                      + [(event_sums_missing(i, j), build_sum_graph(n, i, j))
+                         for i in range(n) for j in range(i + 1, n)])
+            for p in (Fraction(1, 3), Fraction(2, 5)):
+                weights = [independence_probability(g.components, p) for _, g in events]
+                for (event, _), w in zip(events, weights):
+                    assert oracle_event_probability(n, p, event) == w
+                mom = oracle_moments(n, p)
+                assert mom.E_Sc == sum(weights[:n])
+                assert mom.E_Dc == (1 - p) ** n + sum(weights[n:2 * n - 1])
 
 
 class TestIndependenceEvent:

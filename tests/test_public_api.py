@@ -7,10 +7,12 @@ from pathlib import Path
 
 import modsetlab
 
-# test references (now in tests/references.py), first-order leftovers, a
-# duplicate of PairGraph.kind, and a helper that only the counts use
+# test references (now in tests/references.py), first-order leftovers, two
+# shape classifiers that PairGraph.components replaced, and a helper that
+# only the counts use
 REMOVED = ("oracle_mean", "_f_series_reference", "independence_event_holds",
-           "gauge_g_squared_exact", "expected_x_k", "xi_counts", "classify", "binomial")
+           "gauge_g_squared_exact", "expected_x_k", "xi_counts", "classify", "Classification",
+           "binomial")
 
 
 def test_public_surface():
