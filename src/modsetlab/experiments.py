@@ -146,7 +146,8 @@ class TrialRecord:
 def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
               k_max: int = 0) -> TrialRecord:
     """Sample trial `trial_index` and measure its set sizes (and x_k/y_k if asked);
-    trials 0, SPOT_CHECK_EVERY, ... also check both sizes by inclusion-exclusion.
+    trials 0, SPOT_CHECK_EVERY, ... also check both sizes by inclusion-exclusion
+    and the profile's count totals.
 
     When x_k/y_k are asked for, the profile comes first and the sparse kernels
     read A+A and A-A off its pair counts.  On a spot-checked trial the kernels
@@ -164,6 +165,11 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
             if inclusion_exclusion_size(profile, kind) != size:
                 raise AssertionError(f"inclusion-exclusion mismatch for {kind}s "
                                      f"(n={n}, trial={trial_index})")
+        # a dropped or repeated pair block keeps the supports above but not
+        # the totals: |A|(|A|+1)/2 unordered sums, |A|^2 ordered differences
+        c = A.cardinality
+        if int(profile.m_sum.sum()) != c * (c + 1) // 2 or int(profile.m_diff.sum()) != c * c:
+            raise AssertionError(f"pair count totals off (n={n}, trial={trial_index})")
     xk: tuple[int, ...] = ()
     yk: tuple[int, ...] = ()
     if k_max > 0:

@@ -195,7 +195,8 @@ def expected_y_k_exact(n: int, p, k: int) -> Fraction:
     distinct cycles touch disjoint elements, so the expectation of
     C(m_r, k) is a truncated convolution power of the one-cycle expectations
     E[C(m, k')] (a k'-subset of cycle edges with j runs covers k'+j
-    elements).
+    elements).  That term depends on r only through d = gcd(n, r), so the
+    sum runs over the divisors d < n of n, phi(n/d) differences each.
 
     For prime n the diagonal term C(n,k) p^k dominates everything else
     whenever n p^k is small, which is why Y_k for k >= 2 is *not*
@@ -207,12 +208,33 @@ def expected_y_k_exact(n: int, p, k: int) -> Fraction:
         raise ParameterError("n must be >= 2")
     p = _as_probability(p)
     total = comb(n, k) * p ** k
-    gcd_counts: dict[int, int] = {}
-    for r in range(1, n):
-        d = math.gcd(r, n)
-        gcd_counts[d] = gcd_counts.get(d, 0) + 1
-    for d, mult in gcd_counts.items():
+    for d, mult in _proper_divisors_with_totient(n):
         L = n // d
         poly = [_cycle_choose_expectation(L, kk, p) for kk in range(k + 1)]
         total += mult * _poly_pow_trunc(poly, d, k)[k]
     return total
+
+
+def _proper_divisors_with_totient(n: int) -> list[tuple[int, int]]:
+    """(d, phi(n/d)) for each divisor d < n of n: phi(n/d) residues r have gcd(r, n) = d.
+
+    The divisors and the primes of n come by trial division up to sqrt(n).
+    """
+    primes, m, q = [], n, 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    small = [q for q in range(1, math.isqrt(n) + 1) if n % q == 0]
+    out = []
+    for d in sorted((set(small) | {n // q for q in small}) - {n}):
+        phi = n // d
+        for q in primes:
+            if (n // d) % q == 0:
+                phi -= phi // q
+        out.append((d, phi))
+    return out

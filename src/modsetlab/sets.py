@@ -9,26 +9,31 @@ package, each written once here:
   which stops once the result is all of Z/nZ (the dense kernel: A+A is A
   rotated by A, A-A is -A rotated by A; cost ~ |A| * n / wordsize, but a
   dense random set fills Z/nZ in a few dozen rotations);
-* `_pair_residues`, the wrapped pair sums or differences in flat blocks (the
-  sparse kernel scatters them into a mask, cost ~ |A|^2; `_pair_bincount`
-  counts them).
+* `_pair_residues`, the pair sums or differences of each unordered pair
+  {a, b}, a != b, once, in flat blocks read off cyclic shifts of the sorted
+  members (the sparse kernel scatters them into a mask, cost ~ |A|^2 / 2;
+  `_pair_bincount` counts them).  The diagonal a = b and, for differences,
+  the negation b - a -> a - b are added back by the caller: both sides are
+  symmetric, so the other half of the |A|^2 ordered pairs says nothing new.
 
 ``kernel="auto"`` picks the dense or sparse kernel by a size threshold; both
 produce identical masks.  `graphs` builds its oracle predicates from `_neg`
 and `_or_rotations`, and works on uint32 arrays of masks as well as on ints.
 
 A set's pair counts have one owner: `ResidueSet._pair_counts`, the memo of
-the multiplicity profile's arrays (m_sum after the |A| diagonal and the
-halving, m_diff), counted at most once per set and read-only, since
-`multiplicity.multiplicity_profile` hands them out uncopied.  Two backends
-fill it, picked from |A| and n alone (`_use_fft`), as `_pick_kernel` picks
-the set kernels.  Sparse sets count by an exact pair bincount (cost ~|A|^2);
-dense ones by a real FFT convolution and correlation zero-padded to a power
-of two L >= 2n (cost ~L log L), whose every result checks its own exactness
-(rounding error below 1/4, the count totals, the |A| diagonal differences)
-and falls back to the bincount if any check fails, so both backends store
-identical arrays.  On both, the |A| diagonal sums 2a go in place by
-np.add.at, which counts a and a + n/2 both at even n.
+the multiplicity profile's arrays (m_sum with the |A| diagonal sums, m_diff
+with both orders and the |A| zero differences), counted at most once per set
+and read-only, since `multiplicity.multiplicity_profile` hands them out
+uncopied.  Two backends fill it, picked from |A| and n alone (`_use_fft`), as
+`_pick_kernel` picks the set kernels.  Sparse sets count each unordered pair
+once by an exact bincount (cost ~|A|^2 / 2) and fold the difference counts
+with their negations (`_mirror`); dense ones use a real FFT convolution and
+correlation zero-padded to a power of two L >= 2n (cost ~L log L), whose
+every result checks its own exactness (rounding error below 1/4, the count
+totals, the |A| diagonal differences) and falls back to the bincount if any
+check fails, so both backends store identical arrays.  On both, the |A|
+diagonal sums 2a go in place by np.add.at, which counts a and a + n/2 both
+at even n.
 
 A+A and A-A are the residues of nonzero multiplicity, so once a set holds
 the memo the sparse kernel returns its support, whichever backend filled
@@ -40,6 +45,8 @@ spot-checked trial `experiments.run_trial` calls the kernels before the
 profile exists.  For dense sets the check then sets the rotations against
 the FFT, which share no code; for sparse sets the scatter against the
 bincount, which share only `_pair_residues`, tested against brute force.
+The check also asserts the profile's count totals, which a dropped or
+repeated pair block would change while leaving both supports as they were.
 
 Sampling is deterministic: the random stream of trial t is derived only
 from (base_seed, t), so trials can run in any order, on any number of
@@ -59,7 +66,7 @@ from .errors import ParameterError
 _WORD_BITS = 64
 _FRAC_BITS = 64          # probabilities are realized on the k / 2**64 grid
 _ONE = 1 << _FRAC_BITS
-_SPARSE_BLOCK = 1 << 22  # max pair-table entries held in memory at once
+_SPARSE_BLOCK = 1 << 22  # max unordered-pair entries held in memory at once
 _FFT_CROSSOVER = 4       # FFT pair counts once 4 |A|^2 > L log2 L; see _use_fft
 
 __all__ = [
@@ -261,28 +268,54 @@ def _or_rotations(n: int, shifts: int, base):
 
 
 def _pair_residues(n: int, idx: np.ndarray, subtract: bool):
-    """Yield a + b (or a - b) mod n over all ordered pairs of idx, in flat blocks.
+    """Yield a + b mod n (or b - a mod n) once per unordered pair {a, b} of idx, a != b.
 
-    A block holds at most _SPARSE_BLOCK entries (one row of |A| if |A| is larger).
+    idx is sorted, c = |idx|.  Member i pairs with member i + s mod c for
+    s = 1 .. (c-1)//2, and for s = c/2 with i < c/2 only when c is even, so
+    each pair turns up once.  Row s is a window of idx doubled, read in place
+    by sliding_window_view: no mask, no index table.  For differences the
+    upper copy is idx + n, so b - a already lies in [1, n-1]; the one-sided
+    difference counts fold with their negations in `_mirror`.
+
+    A block holds at most _SPARSE_BLOCK entries (one row of |A| if |A| is
+    larger); the half row of an even c rides on the last block if it fits.
     """
     c = idx.size
-    block = max(1, _SPARSE_BLOCK // max(c, 1))
-    for s in range(0, c, block):
-        chunk = idx[s:s + block, None]
-        if subtract:
-            t = chunk - idx
-            np.add(t, n, out=t, where=t < 0)
-        else:
-            t = chunk + idx
-            np.subtract(t, n, out=t, where=t >= n)
-        yield t.ravel()
+    if c < 2:
+        return
+    rows, half = (c - 1) // 2, (c // 2 if c % 2 == 0 else 0)
+    doubled = np.concatenate((idx, idx + n if subtract else idx))
+    windows = np.lib.stride_tricks.sliding_window_view(doubled, c)
+    op = np.subtract if subtract else np.add
+    step = max(1, _SPARSE_BLOCK // c)
+    for s in range(1, rows + 1, step):
+        stop = min(s + step, rows + 1)
+        size = (stop - s) * c
+        tail = half if stop > rows and size + half <= max(_SPARSE_BLOCK, c) else 0
+        t = np.empty(size + tail, dtype=np.int64)
+        op(windows[s:stop], idx, out=t[:size].reshape(-1, c))
+        if tail:
+            op(doubled[half:c], idx[:half], out=t[size:])
+            half = 0
+        yield _wrap(t, n, subtract)
+    if half:
+        yield _wrap(op(doubled[half:c], idx[:half]), n, subtract)
+
+
+def _wrap(t: np.ndarray, n: int, subtract: bool) -> np.ndarray:
+    """Sums a + b in [0, 2n-2] reduced mod n in place; differences need no wrap."""
+    if not subtract:
+        np.subtract(t, n, out=t, where=t >= n)
+    return t
 
 
 def _pair_bincount(n: int, idx: np.ndarray, subtract: bool) -> np.ndarray:
-    """Ordered pair counts of every residue: #(a, b) in idx x idx with a + b (or a - b) = r.
+    """Counts of every residue over the unordered pairs {a, b} of idx, a != b.
 
-    The first block's bincount is the accumulator: one block, the usual case,
-    allocates nothing else of length n.
+    Sums count #{a, b} with a + b = r; differences count the one-sided b - a
+    of `_pair_residues`, which `_mirror` folds with its negation.  The first
+    block's bincount is the accumulator: one block, the usual case, allocates
+    nothing else of length n.
     """
     total = None
     for t in _pair_residues(n, idx, subtract):
@@ -295,8 +328,21 @@ def _pair_bincount(n: int, idx: np.ndarray, subtract: bool) -> np.ndarray:
     return np.zeros(n, dtype=np.int64) if total is None else total
 
 
+def _mirror(m: np.ndarray, op) -> np.ndarray:
+    """m[r] and m[n - r] both become op(m[r], m[n - r]) for 0 < r != n - r, in place.
+
+    The two halves are disjoint views, so numpy needs no n-length temporary,
+    which an overlapping m[1:] op= m[:0:-1] would allocate.
+    """
+    h = (m.size - 1) // 2
+    lo, hi = m[1:h + 1], m[m.size - h:][::-1]
+    op(lo, hi, out=lo)
+    hi[...] = lo
+    return m
+
+
 def _unordered_sums(n: int, idx: np.ndarray, ordered_sum: np.ndarray) -> np.ndarray:
-    """Unordered sum multiplicities from ordered ones, in place.
+    """Unordered sum multiplicities from ordered ones (the FFT's), in place.
 
     Every {a, b} with a != b was counted twice and {a, a} once; np.add.at
     counts a and a + n/2 (the same 2a at even n) both.
@@ -307,10 +353,19 @@ def _unordered_sums(n: int, idx: np.ndarray, ordered_sum: np.ndarray) -> np.ndar
 
 
 def _pair_multiplicities(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m_sum, m_diff) by an exact pair bincount."""
-    ordered_sum = _pair_bincount(n, idx, subtract=False)
-    m_diff = _pair_bincount(n, idx, subtract=True)
-    return _unordered_sums(n, idx, ordered_sum), m_diff
+    """(m_sum, m_diff) by an exact bincount of each unordered pair once.
+
+    m_sum adds the |A| diagonal sums 2a by np.add.at (a and a + n/2 both at
+    even n).  m_diff[r] = cnt[r] + cnt[n - r]: the pair with b - a = n/2 at
+    even n stands for both orders, and difference 0 is the |A| pairs (a, a).
+    """
+    m_sum = _pair_bincount(n, idx, subtract=False)
+    np.add.at(m_sum, (2 * idx) % n, 1)
+    m_diff = _mirror(_pair_bincount(n, idx, subtract=True), np.add)
+    if n % 2 == 0:
+        m_diff[n // 2] *= 2
+    m_diff[0] = idx.size
+    return m_sum, m_diff
 
 
 def _fft_length(n: int) -> int:
@@ -378,9 +433,15 @@ def _pair_table_mask(A: ResidueSet, subtract: bool) -> int:
     counts = vars(A).get("_pair_counts")
     if counts is not None:
         return _mask_from_bits(counts[subtract] > 0)
-    bits = np.zeros(A.n, dtype=np.uint8)
-    for t in _pair_residues(A.n, A.indices(), subtract):
+    n, idx = A.n, A.indices()
+    bits = np.zeros(n, dtype=np.uint8)
+    for t in _pair_residues(n, idx, subtract):
         bits[t] = 1
+    if subtract:
+        _mirror(bits, np.bitwise_or)
+        bits[0] = idx.size > 0
+    else:
+        bits[(2 * idx) % n] = 1
     return _mask_from_bits(bits)
 
 

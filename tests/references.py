@@ -39,3 +39,25 @@ def independence_event_holds(A, g) -> bool:
         if (m >> a) & 1 and (m >> b) & 1:
             return False
     return True
+
+
+def expected_y_k_by_residue(n: int, p, k: int) -> Fraction:
+    """E[Y_k] with its nonzero differences r < n grouped by gcd(r, n) one r at a time.
+
+    The per-cycle expectations are the library's own helpers; this checks the
+    grouping, which the library does over the divisors of n.
+    """
+    from math import gcd
+
+    from modsetlab.multiplicity import _cycle_choose_expectation, _poly_pow_trunc
+
+    p = Fraction(p)
+    total = comb(n, k) * p ** k
+    gcd_counts: dict[int, int] = {}
+    for r in range(1, n):
+        d = gcd(r, n)
+        gcd_counts[d] = gcd_counts.get(d, 0) + 1
+    for d, mult in gcd_counts.items():
+        poly = [_cycle_choose_expectation(n // d, kk, p) for kk in range(k + 1)]
+        total += mult * _poly_pow_trunc(poly, d, k)[k]
+    return total

@@ -121,6 +121,21 @@ class TestTrials:
             run_trial(n, p, 5, 0, k_max=3)
         assert run_trial(n, p, 5, 1, k_max=3).S == honest[1].S - 1
 
+    def test_sparse_spot_check_catches_a_repeated_pair_block(self, monkeypatch):
+        # a repeated block leaves every support, and so both sizes, as they
+        # were; only the count totals show it
+        n, p = 10007, dyadic64(10007 ** -0.5)
+        enumerate_pairs = sets._pair_residues
+
+        def repeated(n, idx, subtract):
+            blocks = list(enumerate_pairs(n, idx, subtract))
+            yield from blocks[:1] + blocks
+
+        monkeypatch.setattr(sets, "_pair_residues", repeated)
+        assert not sets._use_fft(run_trial(n, p, 5, 1, k_max=3).card, n)
+        with pytest.raises(AssertionError, match="pair count totals off"):
+            run_trial(n, p, 5, 0, k_max=3)
+
     @staticmethod
     def count_enumerations(monkeypatch, n, p, trial_index, k_max):
         """run_trial's pair enumerations, as the subtract flag of each call."""
@@ -193,11 +208,15 @@ class TestSweep:
         assert buf_a.getvalue() == buf_b.getvalue()
 
     @pytest.mark.parametrize("regime", [dict(regime="critical", n_values=(10007,), c=1.0),
+                                        dict(regime="critical", n_values=(10000,), c=1.0),
+                                        dict(regime="critical", n_values=(30030,), c=1.0),
                                         dict(regime="fixed", n_values=(2003,),
                                              p_fixed=Fraction(1, 2))])
     def test_sizes_do_not_depend_on_k_max(self, regime):
         # trial 100 is spot-checked; the others read the sizes off the profile
-        # when x_k/y_k are asked for, and scatter or rotate when not
+        # when x_k/y_k are asked for, and scatter or rotate when not.  The even
+        # moduli fold the difference n/2 and count a and a + n/2 on one sum 2a;
+        # 30030 = 2*3*5*7*11*13
         rows, csv_data = set(), set()
         for k_max in (0, 3):
             for workers in (1, 2):

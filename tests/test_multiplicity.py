@@ -1,5 +1,6 @@
 """Multiplicity profiles, x_k/y_k statistics, and the inclusion-exclusion identity."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +22,7 @@ from modsetlab import (
     x_k,
     y_k,
 )
-from references import oracle_mean
+from references import expected_y_k_by_residue, oracle_mean
 
 FULL7 = ResidueSet(7, (1 << 7) - 1)
 
@@ -111,23 +112,37 @@ class TestBackends:
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_pair_enumerator_over_many_blocks(self, monkeypatch, block):
-        # both sparse kernels read the shared pair enumerator; a small block
-        # splits every nontrivial set into several
+        # both sparse kernels read the shared pair enumerator, which yields
+        # each unordered pair {a, b}, a != b, once; a small block splits every
+        # nontrivial set into several
         monkeypatch.setattr(sets, "_SPARSE_BLOCK", block)
         rng = random.Random(block)
-        for n in (1, 2, 13, 97, 256):
-            for members in ([], range(n), [r for r in range(n) if rng.random() < 0.3]):
-                members = list(members)
+
+        def folded(counts, n):
+            # a one-sided difference count r stands for r and n - r
+            return [counts[0]] + [counts[r] + counts[n - r] for r in range(1, n)]
+
+        for n in (1, 2, 12, 13, 97, 256):
+            cases = [[], range(n), [r for r in range(n) if rng.random() < 0.3],
+                     range(0, n, 3), range(1, n, 2)]
+            if n in (12, 256):
+                # a and a + n/2 both present: one sum 2a twice, difference n/2
+                cases += [[0, 1, n // 2], [0, 1, n // 2, n // 2 + 1]]
+            for members in map(list, cases):
                 idx = np.asarray(members, dtype=np.int64)
-                sums = Counter((a + b) % n for a in members for b in members)
-                diffs = Counter((a - b) % n for a in members for b in members)
-                ordered_sum = sets._pair_bincount(n, idx, subtract=False)
-                m_diff = sets._pair_bincount(n, idx, subtract=True)
-                assert ordered_sum.tolist() == [sums[r] for r in range(n)]
-                assert m_diff.tolist() == [diffs[r] for r in range(n)]
+                pairs = list(itertools.combinations(members, 2))
+                sums = Counter((a + b) % n for a, b in pairs)
+                diffs = Counter((a - b) % n for a, b in pairs)
+                pair_sums = sets._pair_bincount(n, idx, subtract=False)
+                pair_diffs = sets._pair_bincount(n, idx, subtract=True)
+                assert pair_sums.tolist() == [sums[r] for r in range(n)]
+                assert folded(pair_diffs.tolist(), n) == folded([diffs[r] for r in range(n)], n)
+                all_sums = Counter((a + b) % n for a in members for b in members)
+                all_diffs = Counter((a - b) % n for a in members for b in members)
                 A = ResidueSet.from_indices(n, members)
-                assert np.array_equal(A._pair_counts[1], m_diff)  # A now holds its counts
-                for subtract, expected in ((False, sums), (True, diffs)):
+                m_diff = A._pair_counts[1]  # A now holds its counts
+                assert m_diff.tolist() == [all_diffs[r] for r in range(n)]
+                for subtract, expected in ((False, all_sums), (True, all_diffs)):
                     # a fresh set scatters its pairs; A's mask is the support
                     # of its counts
                     mask = sets._pair_table_mask(ResidueSet.from_indices(n, members), subtract)
@@ -135,7 +150,7 @@ class TestBackends:
                     assert sets._pair_table_mask(A, subtract) == mask
                     blocks = list(sets._pair_residues(n, idx, subtract))
                     assert all(t.size <= max(block, len(members)) for t in blocks)
-                    assert sum(t.size for t in blocks) == len(members) ** 2
+                    assert sum(t.size for t in blocks) == len(pairs)
 
     def test_backend_choice_follows_set_size(self):
         # critical density |A| ~ c sqrt(n), c <= 3, stays on the bincount from
@@ -332,3 +347,17 @@ class TestExpectations:
     def test_exact_x_k_needs_odd_n(self):
         with pytest.raises(ParameterError):
             expected_x_k_exact(8, Fraction(1, 2), 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_y_k_over_divisors_equals_the_loop_over_residues(self, k):
+        p = Fraction(1, 3)
+        for n in [*range(2, 121), 1000, 1024, 30030]:
+            assert expected_y_k_exact(n, p, k) == expected_y_k_by_residue(n, p, k), n
+
+    def test_divisors_with_totient(self):
+        assert multiplicity._proper_divisors_with_totient(1) == []
+        assert multiplicity._proper_divisors_with_totient(12) == [
+            (1, 4), (2, 2), (3, 2), (4, 2), (6, 1)]
+        for n in (97, 1024, 30030):
+            pairs = multiplicity._proper_divisors_with_totient(n)
+            assert sum(phi for _, phi in pairs) == n - 1
