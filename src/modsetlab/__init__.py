@@ -48,7 +48,6 @@ from .graphs import (
     build_diff_graph,
     build_sum_graph,
     event_diff_missing,
-    event_sum_missing,
     event_sums_missing,
     oracle_event_probability,
     oracle_moments,

@@ -47,7 +47,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("MODSETLAB_SEED", "0"))
+    text = os.environ.get("MODSETLAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"MODSETLAB_SEED must be an integer, got {text!r}") from None
 
 
 _DIGITS_LEAF_BITS = 1 << 12  # below this, Decimal(int) is faster than splitting
@@ -98,7 +102,8 @@ def _frac_str(x: Fraction) -> str:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="modsetlab",
+    # no abbreviations at the top level: --c is the sampling flag, never --config
+    parser = _Parser(prog="modsetlab", allow_abbrev=False,
                      description="sumset/difference-set experiments on random subsets of Z/nZ")
     parser.add_argument("--config", help="key=value file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -161,13 +166,17 @@ def build_parser() -> _Parser:
 
 
 def _load_config_argv(argv: list[str]) -> list[str]:
-    """Turn a --config file into leading flags so explicit flags override them."""
-    if "--config" not in argv:
+    """Turn a --config file (--config PATH or --config=PATH) into leading flags
+    so explicit flags override them."""
+    at = next((i for i, arg in enumerate(argv)
+               if arg == "--config" or arg.startswith("--config=")), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise ParameterError("--config needs a path")
-    path = argv[at + 1]
+    _, inline, path = argv[at].partition("=")
+    if not inline:
+        if at + 1 >= len(argv):
+            raise ParameterError("--config needs a path")
+        path = argv[at + 1]
     extra: list[str] = []
     try:
         fh = open(path)
@@ -190,7 +199,7 @@ def _load_config_argv(argv: list[str]) -> list[str]:
                 continue
             else:
                 extra.extend([flag] + value.split())
-    rest = argv[:at] + argv[at + 2:]
+    rest = argv[:at] + argv[at + (1 if inline else 2):]
     # subcommand must stay first; config flags go right after it so that
     # explicitly passed flags (later in argv) take precedence
     if rest and not rest[0].startswith("-"):
@@ -351,7 +360,7 @@ def _sums_missing(a):
 _EVENTS = {
     "diff-missing": (("k",), "P(k not in A-A)", _diff_missing,
                      lambda a: graphs.build_diff_graph(a.n, a.k)),
-    "sum-missing": (("i",), "P(i not in A+A)", lambda a: graphs.event_sum_missing(a.i),
+    "sum-missing": (("i",), "P(i not in A+A)", lambda a: graphs.event_sums_missing(a.i),
                     lambda a: graphs.build_sum_graph(a.n, a.i)),
     "both-sums-missing": (("i", "j"), "P(i,j not in A+A)", _sums_missing,
                           lambda a: graphs.build_sum_graph(a.n, a.i, a.j)),

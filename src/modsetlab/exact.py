@@ -9,8 +9,8 @@ b > a, or a < 0, which makes every series below total without case splits.
 Every missing-target event is "A is independent in a pair graph" of
 loop-ended paths and cycles, and `independence_probability` weighs its
 component list: one Lucas-sequence value (`_lucas_u`) per distinct component,
-divided by b^n once (`_over_power`, gcd-free for dyadic p).  The named closed
-forms keep shorter evaluations of their one graph, pinned to it by the tests.
+divided by b^n once (`_over_power`, gcd-free for dyadic p).  The named forms
+are the engine on their graph, save the per-cycle-nonempty composite form.
 """
 
 from __future__ import annotations
@@ -123,11 +123,10 @@ def cycle_count(n: int, k: int) -> int:
 
 
 def lucas(n: int) -> int:
-    """Lucas number L_n (L_0 = 2, L_1 = 1, L_n = L_{n-1} + L_{n-2})."""
+    """Lucas number L_n (L_0 = 2, L_1 = 1, L_n = L_{n-1} + L_{n-2}): V_n at a = d = 1."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    u, u1 = _lucas_u(1, -1, n)
-    return 2 * u1 - u
+    return _trace(1, 1, n)
 
 
 def _lucas_u(P: int, Q: int, n: int) -> tuple[int, int]:
@@ -135,8 +134,7 @@ def _lucas_u(P: int, Q: int, n: int) -> tuple[int, int]:
 
     Doubling from the top bit of n down, with U_{2k} = U_k (2 U_{k+1} - P U_k)
     and U_{2k+1} = U_{k+1}^2 - Q U_k^2: three big multiplications per bit.
-    For p = a/b, P = d = b - a and Q = -a d it weighs paths and cycles
-    (`independence_probability`); b^m F(m) = U_{m+1}.
+    For p = a/b, P = d = b - a and Q = -a d it weighs paths and cycles.
     """
     u, u1 = 0, 1
     for bit in bin(n)[2:]:
@@ -144,6 +142,12 @@ def _lucas_u(P: int, Q: int, n: int) -> tuple[int, int]:
         if bit == "1":
             u, u1 = u1, P * u1 - Q * u
     return u, u1
+
+
+def _trace(a: int, d: int, m: int) -> int:
+    """V_m = 2 U_{m+1} - d U_m = trace of [[d, a], [d, 0]]^m: b^m P(the m-cycle is independent)."""
+    u, u1 = _lucas_u(d, -a * d, m)
+    return 2 * u1 - d * u
 
 
 # Fraction(num, den) for coprime num, den > 0, skipping the gcd (Python >= 3.12, <= 3.11)
@@ -161,33 +165,34 @@ def _over_power(num: int, b: int, n: int) -> Fraction:
     return _coprime_fraction(num >> shift, 1 << (e - shift))
 
 
-def _lucas_at(p, m: int) -> tuple[int, int, int, int, int]:
-    """(a, b, d, U_m, U_{m+1}) for p = a/b in lowest terms, P = d = b - a, Q = -a d."""
-    p = _as_probability(p)
-    a, b = p.numerator, p.denominator
-    return (a, b, b - a, *_lucas_u(b - a, -a * (b - a), m))
-
-
 def independence_probability(components, p) -> Fraction:
     """P(A is independent) in a pair graph given by its component list.
 
     Each entry is (kind, m, end loops, count) as `graphs.PairGraph.components`
     gives it.  With p = a/b, d = b - a and the transfer matrix [[d, a], [d, 0]]
-    (weight a in A, d outside), a path of m vertices and l end loops weighs
-    d^l (U_{m-l+1} + a U_{m-l}) (its looped ends stay out of A), an m-cycle
-    the trace V_m = 2 U_{m+1} - d U_m; the product is divided by b^n once.
-    The empty set counts.
+    (weight a in A, d outside), an m-cycle weighs the trace V_m, a loop-free
+    m-path U_{m+1} + a U_m, and one with l >= 1 end loops (kept out of A)
+    d^l (U_{m-l+1} + a U_{m-l}) = d^(l-1) U_{m-l+2}, one value that the last
+    doubling step forms alone; the product is divided by b^n once.  The empty
+    set counts.  The named forms are this engine on their graph's components.
     """
     p = _as_probability(p)
-    a, b = p.numerator, p.denominator
-    d = b - a
+    a, b, d = p.numerator, p.denominator, p.denominator - p.numerator
     num, n = 1, 0
     for kind, m, loops, count in components:
         if count < 0 or not (kind == "path" and 0 <= loops <= min(m, 2)
                              or kind == "cycle" and loops == 0 and m >= 1):
             raise ParameterError(f"not a path or cycle component: {(kind, m, loops, count)}")
-        u, u1 = _lucas_u(d, -a * d, m - loops)
-        num *= (2 * u1 - d * u if kind == "cycle" else d ** loops * (u1 + a * u)) ** count
+        if kind == "cycle":
+            w = _trace(a, d, m)
+        elif loops:
+            h = m - loops + 2
+            u, u1 = _lucas_u(d, -a * d, h >> 1)
+            w = d ** (loops - 1) * (u1 * u1 + a * d * u * u if h & 1 else u * (2 * u1 - d * u))
+        else:
+            u, u1 = _lucas_u(d, -a * d, m)
+            w = u1 + a * u
+        num *= w ** count
         n += m * count
     return _over_power(num, b, n)
 
@@ -196,15 +201,12 @@ def f_series(n: int, p) -> Fraction:
     """The tail series F(n) = sum_{r=0}^{floor(n/2)} C(n-r, r) p^r (1-p)^(n-r), exactly.
 
     With p = a/b and d = b - a, W_n = b^n F(n) obeys W_m = d W_{m-1} + a d W_{m-2}
-    (the Fibonacci-type polynomial G_n(p/(1-p)) scaled by (1-p)^n), so it is
-    U_{n+1} of `_lucas_u`; n in the tens of thousands at dyadic64 p is fast.
+    (G_n(p/(1-p)) scaled by (1-p)^n), so W_n = U_{n+1}: the weight of the
+    n-vertex path with one end loop.  n ~ 1e4 at dyadic64 p is fast.
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    # only U_{n+1} is needed, so the last doubling step forms it alone
-    a, b, d, u, u1 = _lucas_at(p, (n + 1) >> 1)
-    w = u1 * u1 + a * d * u * u if n % 2 == 0 else u * (2 * u1 - d * u)
-    return _over_power(w, b, n)
+    return independence_probability((("path", n, 1, 1),) if n else (), p)
 
 
 def f_series_log(n: int, p) -> float:
@@ -237,7 +239,7 @@ def expected_missing_sums(n: int, p) -> Fraction:
     Each residue s has (n-1)/2 disjoint two-element representations plus the
     single self-representation h + h = s (a sum graph of (n-1)/2 edges and one
     looped vertex), so P(s not in A+A) = (1 - p)(1 - p^2)^((n-1)/2) and the
-    expectation is n times that.  (The often-quoted form
+    expectation is n times that graph's weight.  (The often-quoted form
     n (1-p^2)^((n+1)/2) treats the self-representation as an independent
     pair and is off by a factor 1+p; see expected_missing_sums_asymptotic.)
     """
@@ -245,8 +247,7 @@ def expected_missing_sums(n: int, p) -> Fraction:
         raise ParameterError("expected_missing_sums requires odd n")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    p = _as_probability(p)
-    return n * (1 - p) * (1 - p * p) ** ((n - 1) // 2)
+    return n * independence_probability((("path", 1, 1, 1), ("path", 2, 0, (n - 1) // 2)), p)
 
 
 def expected_missing_sums_asymptotic(n: int, p) -> Fraction:
@@ -277,9 +278,9 @@ def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
     m = n/g, and the formula conditions each cycle on a nonempty intersection:
     (prob_diff_missing(m, p))^g, computed as (V_m - d^m)^g / b^n.
 
-    For g = 1 this is prob_diff_missing.  For g > 1 the per-cycle
-    nonemptiness makes it deviate from the enumerated probability, which is
-    the unconditioned weight of the g cycles (`independence_probability`).
+    For g = 1 this is prob_diff_missing.  For g > 1 the per-cycle nonemptiness
+    makes it deviate from the enumerated probability, the engine's weight of the
+    g cycles; so it keeps this body and shares only the trace `_trace`.
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
@@ -287,22 +288,20 @@ def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
         raise ParameterError("k must be a nonzero residue")
     g = math.gcd(n, k)
     m = n // g
-    _, b, d, u, u1 = _lucas_at(p, m)
-    return _over_power((2 * u1 - d * u - d ** m) ** g, b, n)
+    p = _as_probability(p)
+    a, b, d = p.numerator, p.denominator, p.denominator - p.numerator
+    return _over_power((_trace(a, d, m) - d ** m) ** g, b, n)
 
 
 def prob_both_sums_missing(n: int, p) -> Fraction:
     """P(i not in A+A and j not in A+A) for any i, j with gcd(n, i - j) = 1.
 
     The pair graph is then a path of n vertices with a loop on each end (at
-    prime n, for every i != j).  Its ends stay out of A, and F(m) = (1-p) P(the
-    (m-1)-vertex path is independent), so P = (1-p)^2 P(the (n-2)-vertex path
-    is independent) = (1-p) F(n-1).
+    prime n, for every i != j); its ends stay out of A, so P = (1-p) F(n-1).
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
-    p = _as_probability(p)
-    return (1 - p) * f_series(n - 1, p)
+    return independence_probability((("path", n, 2, 1),), p)
 
 
 @dataclass(frozen=True)

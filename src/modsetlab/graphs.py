@@ -41,7 +41,6 @@ __all__ = [
     "build_sum_graph",
     "build_diff_graph",
     "event_diff_missing",
-    "event_sum_missing",
     "event_sums_missing",
     "oracle_event_probability",
     "oracle_moments",
@@ -126,15 +125,13 @@ def event_diff_missing(k: int) -> Callable:
     return lambda mask, n: mask & _or_rotations(n, 1 << k % n, mask) == 0
 
 
-def event_sum_missing(i: int) -> Callable:
-    """Predicate: i is not in A+A, i.e. A misses -A rotated by i."""
-    return lambda mask, n: mask & _or_rotations(n, 1 << i % n, _neg(mask, n)) == 0
-
-
-def event_sums_missing(i: int, j: int) -> Callable:
-    """Predicate: neither i nor j is in A+A."""
+def event_sums_missing(*targets: int) -> Callable:
+    """Predicate: none of one or two target sums (as in `build_sum_graph`) is in
+    A+A, i.e. A misses -A rotated by each target."""
+    if len(targets) not in (1, 2):
+        raise ParameterError("a sum event needs one or two target sums")
     return lambda mask, n: (
-        mask & _or_rotations(n, (1 << i % n) | (1 << j % n), _neg(mask, n)) == 0)
+        mask & _or_rotations(n, sum({1 << t % n for t in targets}), _neg(mask, n)) == 0)
 
 
 _CHUNK = 4096  # masks per uint32 chunk: large enough to amortise numpy, small in memory

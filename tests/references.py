@@ -12,11 +12,34 @@ from modsetlab import ParameterError
 
 
 def f_series_reference(n: int, p) -> Fraction:
-    """F(n) = sum_{r=0}^{floor(n/2)} C(n-r, r) p^r (1-p)^(n-r), term by term."""
+    """F(n) = sum_{r=0}^{floor(n/2)} C(n-r, r) p^r (1-p)^(n-r), term by term.
+
+    With p = a/b and d = b - a the terms share the denominator b^n; their
+    numerators C(n-r, r) a^r d^(n-r) are summed in Horner form over r, which
+    keeps n ~ 2000 at dyadic64 p (b = 2^64) fast.
+    """
     p = Fraction(p)
-    q = 1 - p
-    return sum((comb(n - r, r) * p ** r * q ** (n - r) for r in range(n // 2 + 1)),
-               Fraction(0))
+    a, b = p.numerator, p.denominator
+    d, half = b - a, n // 2
+    total, a_pow = 0, 1
+    for r in range(half + 1):  # total = sum_{s <= r} C(n-s, s) a^s d^(r-s)
+        total = total * d + comb(n - r, r) * a_pow
+        a_pow *= a
+    return Fraction(total * d ** (n - half), b ** n)
+
+
+def prob_both_sums_missing_reference(n: int, p) -> Fraction:
+    """P(i, j not in A+A) on the n-vertex path with a loop on each end: the
+    looped ends stay out of A, and the rest is F(n-1)'s path, so (1-p) F(n-1)."""
+    p = Fraction(p)
+    return (1 - p) * f_series_reference(n - 1, p)
+
+
+def expected_missing_sums_reference(n: int, p) -> Fraction:
+    """E[S^c] for odd n: each of the n sums has (n-1)/2 disjoint pairs and one
+    self-representation, so n (1-p) (1-p^2)^((n-1)/2)."""
+    p = Fraction(p)
+    return n * (1 - p) * (1 - p * p) ** ((n - 1) // 2)
 
 
 def oracle_mean(n: int, p, statistic) -> Fraction:

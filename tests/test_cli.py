@@ -50,6 +50,11 @@ class TestSample:
                                  "--trials", "2", "--seed", "99")
         assert out_env == out_flag
 
+    def test_non_integer_env_seed_is_a_parameter_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MODSETLAB_SEED", "abc")
+        assert run_cli(capsys, "sample", "--n", "7", "--p", "1/2") == \
+            (1, "", "error: MODSETLAB_SEED must be an integer, got 'abc'\n")
+
     def test_require_prime_resolves(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--n", "10000", "--p", "1/2",
                                "--trials", "1", "--seed", "1", "--require-prime")
@@ -423,6 +428,31 @@ class TestSweepCommand:
         report = json.loads(out)
         assert report["config"]["trials"] == 2      # flag wins
         assert report["config"]["n_values"] == [31]  # from config file
+
+    def test_config_both_spellings_with_flag_precedence(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\ntrials=3\nc=2\n")
+
+        def config_of(*argv):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            header = next(l for l in out.splitlines() if l.startswith("# config: "))
+            return json.loads(header[len("# config: "):])
+
+        base = ("--n", "101", "--regime", "critical", "--c", "1", "--trials", "2")
+        spellings = [("--config", str(cfg), "sample", *base),
+                     (f"--config={cfg}", "sample", *base),
+                     ("sample", f"--config={cfg}", *base),
+                     ("sample", *base, f"--config={cfg}")]
+        for argv in spellings:
+            config = config_of(*argv)
+            assert config["seed"] == 5                          # from the file
+            assert config["trials"] == 2 and config["c"] == 1  # flags win
+        # --c is the sampling flag, never an abbreviation of --config
+        assert config_of(f"--config={cfg}", "sample", "--n", "101",
+                         "--regime", "critical")["c"] == 2
+        code, _, err = run_cli(capsys, "--c", str(cfg), "sample", "--n", "7", "--p", "1/2")
+        assert code == 1 and err.startswith("error: ")
 
     def test_unreadable_config_is_a_parameter_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "absent.cfg"))

@@ -230,6 +230,23 @@ class TestSweep:
                                    if not line.startswith("#")))
         assert len(rows) == 1 and len(csv_data) == 1
 
+    @pytest.mark.parametrize("k_max", [0, 3])
+    def test_sizes_follow_the_kernels_named_in_experiments(self, monkeypatch, k_max):
+        # the benchmark injects wrong rows by patching experiments.sumset and
+        # experiments.difference_set, so S and D must come from those names
+        # even when the profile's pair counts are at hand (k_max > 0)
+        n, p, trial = 1009, dyadic64(1009 ** -0.5), 1
+        assert trial % experiments.SPOT_CHECK_EVERY
+        real = run_trial(n, p, 5, trial, k_max)
+        monkeypatch.setattr(experiments, "sumset",
+                            lambda A, kernel="auto": sets.ResidueSet(A.n, 0b1))
+        monkeypatch.setattr(experiments, "difference_set",
+                            lambda A, kernel="auto": sets.ResidueSet(A.n, 0b111))
+        record = run_trial(n, p, 5, trial, k_max)
+        assert (record.S, record.D, record.S_missing, record.D_missing) == (1, 3, n - 1, n - 3)
+        assert (real.S, real.D) != (1, 3)
+        assert (record.card, record.xk, record.yk) == (real.card, real.xk, real.yk)
+
     def test_one_pool_for_uneven_chunks_of_many_moduli(self):
         spec = RegimeSpec(regime="fixed", n_values=(61, 101, 61), trials=7, base_seed=3,
                           p_fixed=Fraction(1, 2), workers=2)

@@ -16,7 +16,6 @@ from modsetlab import (
     build_sum_graph,
     difference_set,
     event_diff_missing,
-    event_sum_missing,
     event_sums_missing,
     independence_probability,
     is_prime,
@@ -77,6 +76,9 @@ class TestBuild:
             build_sum_graph(7)
         with pytest.raises(ParameterError, match="one or two target sums"):
             build_sum_graph(7, 1, 2, 3)
+        for targets in ((), (1, 2, 3)):  # the sum predicate takes what the sum graph takes
+            with pytest.raises(ParameterError, match="one or two target sums"):
+                event_sums_missing(*targets)
         with pytest.raises(ParameterError, match="n must be >= 1"):
             build_sum_graph(0, 1)
         with pytest.raises(ParameterError):
@@ -186,7 +188,7 @@ class TestEngine:
         # and its weight is the enumerated probability of its event, both
         # one by one and summed into the moment means
         for n in range(1, 13):
-            events = ([(event_sum_missing(s), build_sum_graph(n, s)) for s in range(n)]
+            events = ([(event_sums_missing(s), build_sum_graph(n, s)) for s in range(n)]
                       + [(event_diff_missing(k), build_diff_graph(n, k)) for k in range(1, n)]
                       + [(event_sums_missing(i, j), build_sum_graph(n, i, j))
                          for i in range(n) for j in range(i + 1, n)])
@@ -228,7 +230,7 @@ class TestIndependenceEvent:
                 assert both_out == independence_event_holds(A, g)
                 assert both_out == event_sums_missing(i, j)(mask, n)
             for i in range(n):
-                assert (i not in S) == event_sum_missing(i)(mask, n)
+                assert (i not in S) == event_sums_missing(i)(mask, n)
 
 
 class TestOracle:
@@ -242,7 +244,7 @@ class TestOracle:
 
     def test_full_inclusion_kills_missing_events(self):
         assert oracle_event_probability(6, Fraction(1), event_diff_missing(2)) == 0
-        assert oracle_event_probability(6, Fraction(1), event_sum_missing(3)) == 0
+        assert oracle_event_probability(6, Fraction(1), event_sums_missing(3)) == 0
 
     def test_independent_of_k_for_prime(self):
         p = Fraction(1, 3)
@@ -285,7 +287,7 @@ class TestOracle:
                    (0, 1, n // 2, n - 1)) for n in (19, 22)]
         for n, masks, residues in cases:
             events = ([event_diff_missing(k + 1) for k in residues]
-                      + [event_sum_missing(i) for i in residues]
+                      + [event_sums_missing(i) for i in residues]
                       + [event_sums_missing(i, j) for i in residues for j in residues if i < j])
             for event in events:
                 on_array = event(masks, n)
@@ -304,7 +306,7 @@ class TestOracle:
         assert 1 << n == 2 * graphs._CHUNK
         for p in (Fraction(1, 3), dyadic64(n ** -0.5)):
             q = 1 - p
-            for event in (event_diff_missing(5), event_sum_missing(4), event_sums_missing(0, 7),
+            for event in (event_diff_missing(5), event_sums_missing(4), event_sums_missing(0, 7),
                           lambda mask, n: mask >= (1 << n) - 3):
                 for include in (True, False):
                     got = oracle_event_probability(n, p, event, include_empty_set=include)

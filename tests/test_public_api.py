@@ -8,11 +8,11 @@ from pathlib import Path
 import modsetlab
 
 # test references (now in tests/references.py), first-order leftovers, two
-# shape classifiers that PairGraph.components replaced, and a helper that
-# only the counts use
+# shape classifiers that PairGraph.components replaced, a helper that only the
+# counts use, and the one-target sum predicate that event_sums_missing covers
 REMOVED = ("oracle_mean", "_f_series_reference", "independence_event_holds",
            "gauge_g_squared_exact", "expected_x_k", "xi_counts", "classify", "Classification",
-           "binomial")
+           "binomial", "event_sum_missing")
 
 
 def test_public_surface():
