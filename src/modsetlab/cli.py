@@ -197,8 +197,10 @@ def _load_config_argv(argv: list[str]) -> list[str]:
                 extra.append(flag)
             elif value.lower() in ("false", "no", "off"):
                 continue
-            else:
+            elif key == "n":  # the one flag that takes several values
                 extra.extend([flag] + value.split())
+            else:  # one token, so a value may hold spaces or start with "-"
+                extra.append(f"{flag}={value}")
     rest = argv[:at] + argv[at + (1 if inline else 2):]
     # subcommand must stay first; config flags go right after it so that
     # explicitly passed flags (later in argv) take precedence

@@ -309,23 +309,27 @@ def _wrap(t: np.ndarray, n: int, subtract: bool) -> np.ndarray:
     return t
 
 
+def _count_dtype(c: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds |A| = c, the dtype of A's pair counts.
+
+    No count overflows it: m_sum[r] <= (c + 1) / 2 and m_diff[r] <= c.
+    """
+    return np.min_scalar_type(max(c, 1))
+
+
 def _pair_bincount(n: int, idx: np.ndarray, subtract: bool) -> np.ndarray:
     """Counts of every residue over the unordered pairs {a, b} of idx, a != b.
 
     Sums count #{a, b} with a + b = r; differences count the one-sided b - a
-    of `_pair_residues`, which `_mirror` folds with its negation.  The first
-    block's bincount is the accumulator: one block, the usual case, allocates
-    nothing else of length n.
+    of `_pair_residues`, which `_mirror` folds with its negation.  Each block
+    is counted in place by np.add.at into one array of `_count_dtype(|idx|)`;
+    the added one has that dtype too, which keeps numpy on its fast loop.
     """
-    total = None
+    m = np.zeros(n, dtype=_count_dtype(idx.size))
+    one = m.dtype.type(1)
     for t in _pair_residues(n, idx, subtract):
-        block = np.bincount(t, minlength=n)
-        del t  # no block outlives its bincount: the peak stays at one block
-        if total is None:
-            total = block
-        else:
-            total += block
-    return np.zeros(n, dtype=np.int64) if total is None else total
+        np.add.at(m, t, one)
+    return m
 
 
 def _mirror(m: np.ndarray, op) -> np.ndarray:
@@ -353,14 +357,14 @@ def _unordered_sums(n: int, idx: np.ndarray, ordered_sum: np.ndarray) -> np.ndar
 
 
 def _pair_multiplicities(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m_sum, m_diff) by an exact bincount of each unordered pair once.
+    """(m_sum, m_diff) by an exact count of each unordered pair once, in `_count_dtype(|A|)`.
 
     m_sum adds the |A| diagonal sums 2a by np.add.at (a and a + n/2 both at
     even n).  m_diff[r] = cnt[r] + cnt[n - r]: the pair with b - a = n/2 at
     even n stands for both orders, and difference 0 is the |A| pairs (a, a).
     """
     m_sum = _pair_bincount(n, idx, subtract=False)
-    np.add.at(m_sum, (2 * idx) % n, 1)
+    np.add.at(m_sum, (2 * idx) % n, m_sum.dtype.type(1))
     m_diff = _mirror(_pair_bincount(n, idx, subtract=True), np.add)
     if n % 2 == 0:
         m_diff[n // 2] *= 2
@@ -393,7 +397,8 @@ def _pair_counts_fft(A: ResidueSet) -> tuple[np.ndarray, np.ndarray] | None:
     a-b mod L); folding both mod n gives the cyclic counts.  The float result
     is accepted only if it passes its own exactness check: every entry within
     1/4 of an integer, both ordered count vectors summing to |A|^2, and
-    difference 0 counted exactly |A| times.
+    difference 0 counted exactly |A| times.  The checks run in int64; the
+    exact counts are then cast to `_count_dtype(|A|)`, as the bincount's are.
     """
     n = A.n
     idx = A.indices()
@@ -409,7 +414,8 @@ def _pair_counts_fft(A: ResidueSet) -> tuple[np.ndarray, np.ndarray] | None:
     m_diff = corr[:n] + corr[L - n:]
     if (conv_exact and corr_exact and int(ordered_sum.sum()) == c * c
             and int(m_diff.sum()) == c * c and m_diff[0] == c):
-        return _unordered_sums(n, idx, ordered_sum), m_diff
+        dtype = _count_dtype(c)
+        return _unordered_sums(n, idx, ordered_sum).astype(dtype), m_diff.astype(dtype)
     return None
 
 

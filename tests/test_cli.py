@@ -454,6 +454,24 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "--c", str(cfg), "sample", "--n", "7", "--p", "1/2")
         assert code == 1 and err.startswith("error: ")
 
+    def test_config_value_with_a_space(self, capsys, tmp_path):
+        out = tmp_path / "my runs" / "t.csv"
+        out.parent.mkdir()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={out}\nseed=3\n")
+        code, _, err = run_cli(capsys, "sample", "--config", str(cfg),
+                               "--n", "7", "--p", "1/2", "--trials", "2")
+        assert code == 0, err
+        rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
+        assert len(rows) == 3  # header and two trials
+
+    def test_config_n_takes_several_moduli(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=101 211\np=1/2\ntrials=2\nseed=3\nworkers=1\n")
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["config"]["n_values"] == [101, 211]
+
     def test_unreadable_config_is_a_parameter_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "absent.cfg"))
         assert code == 1

@@ -185,7 +185,8 @@ class TestProfileBruteForce:
         members = sorted(set(members))
         prof = profile_of(n, members)
         m_sum, m_diff = brute_profile(n, members)
-        assert prof.m_sum.dtype == np.int64 and prof.m_diff.dtype == np.int64
+        dtype = np.min_scalar_type(max(len(members), 1))  # the narrowest that holds |A|
+        assert prof.m_sum.dtype == dtype and prof.m_diff.dtype == dtype
         assert prof.m_sum.tolist() == m_sum
         assert prof.m_diff.tolist() == m_diff
 
@@ -206,6 +207,18 @@ class TestProfileBruteForce:
             self.assert_profile(n, [a, a + half])
         members = [r for r in range(half) if rng.random() < 0.3]
         self.assert_profile(n, members + [a + half for a in members])
+
+    @pytest.mark.parametrize("n", [510, 512])
+    def test_count_dtype_boundary(self, backend, n):
+        # the even residues, a subgroup: |A| = 255 fits uint8 and 256 needs
+        # uint16; every difference in A - A = A has multiplicity |A|, and the
+        # totals pass 255 on both sides
+        members = range(0, n, 2)
+        self.assert_profile(n, members)
+        c = len(members)
+        prof = profile_of(n, members)
+        assert prof.m_diff.max() == c
+        assert int(prof.m_sum.sum()) == c * (c + 1) // 2 and int(prof.m_diff.sum()) == c * c
 
     def test_arrays_are_the_read_only_memo(self, backend):
         for n, members in ((40, range(0, 40, 3)), (1000, range(0, 1000, 2))):
