@@ -14,10 +14,13 @@ length-n pass per side, whatever the number of k asked for.
 
 The profile only reads the pair counts: `sets` owns them, as the memo
 `ResidueSet._pair_counts`, and picks their backend (pair bincount or checked
-FFT) by size.  The profile holds those arrays uncopied and read-only on both
-backends, and the sparse kernels of `sets` read A+A and A-A off the same
-memo.  The histograms count with np.add.at, which reads the read-only
-arrays in place where np.bincount would copy them.
+FFT) by size.  The profile holds those arrays uncopied, and on both backends
+they are exact, read-only and narrow: their dtype is the smallest unsigned
+integer that holds |A| (uint8 up to |A| = 255), which no multiplicity can
+exceed.  The sparse kernels of `sets` read A+A and A-A off the same memo.
+Readers widen what they add up: the histograms are int64, and x_k / y_k
+sum Python ints.  The histograms count with np.add.at, which reads the
+read-only arrays in place where np.bincount would copy them.
 
 The alternating inclusion-exclusion series sum_k (-1)^(k+1) X_k collapses
 per residue to 1 - (1 - 1)^m = [m >= 1], so inclusion_exclusion_size counts
@@ -25,7 +28,7 @@ the residues of nonzero multiplicity.  The Monte Carlo spot check compares
 it with |A+A| / |A-A| from `sets`, whose kernels run before the profile on
 a spot-checked trial: for dense sets that sets the FFT against the
 bit-rotation kernel, two algorithms that share no code, and for sparse sets
-the bincount against the pair scatter.
+the pair count against the pair scatter.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ class MultiplicityProfile:
     """m_sum[r] = #unordered pairs {a,b} from A with a+b = r (mod n);
     m_diff[r] = #ordered pairs (a,b) from AxA with a-b = r (mod n).
 
+    Both are read-only, of the narrowest unsigned dtype that holds |A|, so
+    arithmetic on them wraps: widen them (astype, or sum, which accumulates
+    in uint64) before subtracting or multiplying.
+
     sum_histogram[v] / diff_histogram[v] count the residues of multiplicity v;
     each is built on first use and read by x_k / y_k for every k.
     """
@@ -76,10 +83,11 @@ class MultiplicityProfile:
 
 
 def _histogram(mult: np.ndarray) -> np.ndarray:
-    """hist[v] = number of residues of multiplicity v.
+    """hist[v] = number of residues of multiplicity v, in int64.
 
-    np.add.at reads the read-only pair counts in place, on either backend;
-    np.bincount would first copy them (it asks numpy for a writeable array).
+    np.add.at reads the narrow, read-only pair counts in place, on either
+    backend; np.bincount would first copy them into a new intp array, eight
+    times the bytes of uint8 counts.
     """
     hist = np.zeros(int(mult.max()) + 1, dtype=np.int64)
     np.add.at(hist, mult, 1)

@@ -24,16 +24,23 @@ A set's pair counts have one owner: `ResidueSet._pair_counts`, the memo of
 the multiplicity profile's arrays (m_sum with the |A| diagonal sums, m_diff
 with both orders and the |A| zero differences), counted at most once per set
 and read-only, since `multiplicity.multiplicity_profile` hands them out
-uncopied.  Two backends fill it, picked from |A| and n alone (`_use_fft`), as
+uncopied.  The arrays are exact and narrow: their dtype is `_count_dtype`,
+the smallest unsigned integer that holds |A| (uint8 up to |A| = 255, uint16
+up to 65535), which no count can overflow, since m_sum[r] <= (|A| + 1) / 2
+and m_diff[r] <= |A|.  It depends on |A| alone.  Every n-length pass over
+the counts (counting, `_mirror`, the supports, the histograms) then touches
+a quarter or an eighth of the bytes that int64 would.
+
+Two backends fill the memo, picked from |A| and n alone (`_use_fft`), as
 `_pick_kernel` picks the set kernels.  Sparse sets count each unordered pair
-once by an exact bincount (cost ~|A|^2 / 2) and fold the difference counts
-with their negations (`_mirror`); dense ones use a real FFT convolution and
-correlation zero-padded to a power of two L >= 2n (cost ~L log L), whose
-every result checks its own exactness (rounding error below 1/4, the count
-totals, the |A| diagonal differences) and falls back to the bincount if any
-check fails, so both backends store identical arrays.  On both, the |A|
-diagonal sums 2a go in place by np.add.at, which counts a and a + n/2 both
-at even n.
+once (cost ~|A|^2 / 2), by np.add.at into the narrow array, and fold the
+difference counts with their negations (`_mirror`); dense ones use a real
+FFT convolution and correlation zero-padded to a power of two L >= 2n (cost
+~L log L), whose every result checks its own exactness in int64 (rounding
+error below 1/4, the count totals, the |A| diagonal differences) before it
+is cast to the narrow dtype, and falls back to the pair count if any check
+fails, so both backends store identical arrays.  On both, the |A| diagonal
+sums 2a go in place by np.add.at, which counts a and a + n/2 both at even n.
 
 A+A and A-A are the residues of nonzero multiplicity, so once a set holds
 the memo the sparse kernel returns its support, whichever backend filled
@@ -44,7 +51,7 @@ The Monte Carlo spot check compares the kernels with the profile, so on a
 spot-checked trial `experiments.run_trial` calls the kernels before the
 profile exists.  For dense sets the check then sets the rotations against
 the FFT, which share no code; for sparse sets the scatter against the
-bincount, which share only `_pair_residues`, tested against brute force.
+pair count, which share only `_pair_residues`, tested against brute force.
 The check also asserts the profile's count totals, which a dropped or
 repeated pair block would change while leaving both supports as they were.
 
