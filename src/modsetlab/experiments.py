@@ -17,15 +17,19 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import IO, Iterable
 
+import numpy as np
+
 from . import exact
 from .errors import ParameterError
 from .exact import is_prime
 from .multiplicity import inclusion_exclusion_size, multiplicity_profile, x_k, y_k
-from .sets import SampleSpec, difference_set, dyadic64, sample_subset, sumset
+from .sets import SampleSpec, _pick_kernel, difference_set, dyadic64, sample_subset, sumset
 
 SCHEMA_VERSION = "1"
 REGIMES = ("fast", "critical", "slow", "intermediate", "fixed")
 SPOT_CHECK_EVERY = 100  # per-trial identity check on 1% of trials
+SPOT_CHECK_RESIDUES = 256  # residues whose pair counts a sparse spot check recounts
+_RECOUNT_BLOCK = 1 << 20  # max (residue, member) index entries held at once
 
 __all__ = [
     "RegimeSpec",
@@ -170,6 +174,16 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
         c = A.cardinality
         if int(profile.m_sum.sum()) != c * (c + 1) // 2 or int(profile.m_diff.sum()) != c * c:
             raise AssertionError(f"pair count totals off (n={n}, trial={trial_index})")
+        # the scatter and the pair count share one enumerator, so a block whose
+        # mass it moves passes both checks above: recount a sample directly
+        if _pick_kernel(A) == "sparse":
+            residues = np.random.default_rng((n, trial_index)).integers(
+                0, n, SPOT_CHECK_RESIDUES)
+            for kind, got, counts in zip(("sum", "difference"), _pair_counts_at(A, residues),
+                                         (profile.m_sum, profile.m_diff)):
+                if not np.array_equal(got, counts[residues]):
+                    raise AssertionError(f"sampled pair counts off for {kind}s "
+                                         f"(n={n}, trial={trial_index})")
     xk: tuple[int, ...] = ()
     yk: tuple[int, ...] = ()
     if k_max > 0:
@@ -180,6 +194,28 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
         S=s, D=d, S_missing=n - s, D_missing=n - d,
         ratio=Fraction(d, s) if s else None, xk=xk, yk=yk,
     )
+
+
+def _pair_counts_at(A, residues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m_sum[r], m_diff[r]) for each r of `residues`, counted from the definitions.
+
+    m_sum[r] = (#{a in A : r - a in A} + #{a in A : 2a = r}) / 2 and
+    m_diff[r] = #{a in A : a - r in A}, read off the indicator of A laid out
+    twice, so that r - a + n and a - r + n index it without a modulo.  It
+    shares no code with the pair enumerator of `sets`.
+    """
+    n, idx = A.n, A.indices()
+    bits = np.zeros(2 * n, dtype=np.uint8)
+    bits[idx] = bits[idx + n] = 1
+    doubles = np.sort(2 * idx % n)
+    diagonal = np.searchsorted(doubles, residues, "right") - np.searchsorted(doubles, residues)
+    sums, diffs = [], []
+    step = max(1, _RECOUNT_BLOCK // max(idx.size, 1))
+    for i in range(0, residues.size, step):
+        rows = residues[i:i + step]
+        sums.append(bits[np.subtract.outer(rows + n, idx)].sum(axis=1))
+        diffs.append(bits[np.add.outer(n - rows, idx)].sum(axis=1))
+    return (np.concatenate(sums) + diagonal) // 2, np.concatenate(diffs)
 
 
 def _run_trial(job) -> TrialRecord:

@@ -9,8 +9,12 @@ Conventions (pinned so the alternating inclusion-exclusion identity is exact):
 
 x_k / y_k count k-sets of such pairs sharing one common sum / difference.
 Each reads its k from one histogram per side (how many residues have each
-multiplicity), built once per profile on first use and cached on it: one
-length-n pass per side, whatever the number of k asked for.
+multiplicity), built once per profile on first use and cached on it, whatever
+the number of k asked for.  A histogram counts by value: one
+np.count_nonzero(body == v) pass per multiplicity v = 1..max, while the
+maximum is at most _COUNT_BY_VALUE_MAX (about 7 on both sides at p = n^-1/2),
+and one np.add.at pass above it (a dense set's maximum is about |A|).  The
+difference side reads half of m_diff, since m_diff[r] = m_diff[n - r].
 
 The profile only reads the pair counts: `sets` owns them, as the memo
 `ResidueSet._pair_counts`, and picks their backend (pair bincount or checked
@@ -19,8 +23,8 @@ they are exact, read-only and narrow: their dtype is the smallest unsigned
 integer that holds |A| (uint8 up to |A| = 255), which no multiplicity can
 exceed.  The sparse kernels of `sets` read A+A and A-A off the same memo.
 Readers widen what they add up: the histograms are int64, and x_k / y_k
-sum Python ints.  The histograms count with np.add.at, which reads the
-read-only arrays in place where np.bincount would copy them.
+sum Python ints.  Both ways of counting read the read-only arrays in place,
+where np.bincount would copy them.
 
 The alternating inclusion-exclusion series sum_k (-1)^(k+1) X_k collapses
 per residue to 1 - (1 - 1)^m = [m >= 1], so inclusion_exclusion_size counts
@@ -44,6 +48,13 @@ import numpy as np
 from .errors import ParameterError
 from .exact import _as_probability
 from .sets import ResidueSet
+
+# Count a histogram by value while its maximum is at most this.  One
+# count_nonzero pass per value against one np.add.at pass: at n = 1000423 and
+# 100379, on uint16 counts of critical sets (p = c n^-1/2, c = 1..8), numpy
+# 2.4 on a 2-vCPU Xeon VM, they break even near a maximum of 15-18 on the sum
+# side and 15-17 on the half-read difference side.
+_COUNT_BY_VALUE_MAX = 16
 
 __all__ = [
     "MultiplicityProfile",
@@ -79,18 +90,34 @@ class MultiplicityProfile:
 
     @cached_property
     def diff_histogram(self) -> np.ndarray:
-        return _histogram(self.m_diff)
+        return _histogram(self.m_diff, mirrored=True)
 
 
-def _histogram(mult: np.ndarray) -> np.ndarray:
-    """hist[v] = number of residues of multiplicity v, in int64.
+def _histogram(mult: np.ndarray, mirrored: bool = False) -> np.ndarray:
+    """hist[v] = number of residues of multiplicity v, in int64, of length mult.max() + 1.
 
-    np.add.at reads the narrow, read-only pair counts in place, on either
-    backend; np.bincount would first copy them into a new intp array, eight
-    times the bytes of uint8 counts.
+    Counts by value, one np.count_nonzero pass per v = 1..max, while the
+    maximum is at most _COUNT_BY_VALUE_MAX, else by one np.add.at pass;
+    hist[0] is what is left of n.  A `mirrored` array (mult[r] = mult[n - r],
+    as m_diff) is read up to (n - 1) / 2 and each count doubled; residue 0
+    and, at even n, residue n/2 are their own mirrors and count once, apart.
+    Residue 0 of m_diff is |A|, so kept in the body it would set the loop's
+    bound.
     """
-    hist = np.zeros(int(mult.max()) + 1, dtype=np.int64)
-    np.add.at(hist, mult, 1)
+    n = mult.size
+    body, weight, apart = mult, 1, mult[:0]
+    if mirrored:
+        body, weight = mult[1:(n - 1) // 2 + 1], 2
+        apart = mult[[0, n // 2] if n % 2 == 0 else [0]]
+    top = int(body.max(initial=0))
+    hist = np.zeros(max(top, int(apart.max(initial=0))) + 1, dtype=np.int64)
+    if top > _COUNT_BY_VALUE_MAX:
+        np.add.at(hist, body, weight)
+    else:
+        for v in range(1, top + 1):
+            hist[v] = weight * np.count_nonzero(body == v)
+    np.add.at(hist, apart, 1)
+    hist[0] = n - hist[1:].sum()
     return hist
 
 
@@ -140,19 +167,28 @@ def inclusion_exclusion_size(profile: MultiplicityProfile, side: str) -> int:
 
 
 def expected_x_k_exact(n: int, p, k: int) -> Fraction:
-    """Exact E[X_k] for odd n.
+    """Exact E[X_k] for any n >= 1.
 
-    For each residue there are (n-1)/2 disjoint two-element representation
-    slots (cost p^2 each) plus one repeated-element slot (cost p), so
-    E[X_k] = n * [C((n-1)/2, k) p^(2k) + C((n-1)/2, k-1) p^(2k-1)].
+    A sum s has disjoint representation slots: two-element pairs {a, b}
+    (cost p^2 each) and self-slots 2a = s (cost p each).  A k-set of slots
+    with j self-slots costs p^(2k-j).  At odd n every s has (n-1)/2 pairs
+    and one self-slot; at even n an even s has (n-2)/2 pairs and two
+    self-slots (a and a + n/2), and an odd s has n/2 pairs and none.
     """
-    if n % 2 == 0:
-        raise ParameterError("exact E[X_k] requires odd n")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
     if k < 1:
         raise ParameterError("k must be >= 1")
     p = _as_probability(p)
-    half = (n - 1) // 2
-    return n * (comb(half, k) * p ** (2 * k) + comb(half, k - 1) * p ** (2 * k - 1))
+
+    def per_sum(self_slots: int, pairs: int) -> Fraction:
+        return sum(comb(self_slots, j) * comb(pairs, k - j) * p ** (2 * k - j)
+                   for j in range(min(self_slots, k) + 1))
+
+    if n % 2:
+        return n * per_sum(1, (n - 1) // 2)
+    half = n // 2
+    return half * (per_sum(2, half - 1) + per_sum(0, half))
 
 
 def _cycle_choose_expectation(L: int, kk: int, p: Fraction) -> Fraction:

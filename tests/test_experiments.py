@@ -136,6 +136,43 @@ class TestTrials:
         with pytest.raises(AssertionError, match="pair count totals off"):
             run_trial(n, p, 5, 0, k_max=3)
 
+    @pytest.mark.parametrize("subtract, kind", [(False, "sums"), (True, "differences")])
+    def test_sparse_spot_check_catches_a_moved_pair_block(self, monkeypatch, subtract, kind):
+        # moving a block's mass by one residue keeps its size, so the totals,
+        # and the scatter and the count both read the moved block, so their
+        # supports agree; only the recount at sampled residues sees it
+        n, p = 10007, dyadic64(10007 ** -0.5)
+        enumerate_pairs = sets._pair_residues
+
+        def moved(n, idx, sub):
+            for i, t in enumerate(enumerate_pairs(n, idx, sub)):
+                if i == 0 and sub == subtract:
+                    # differences stay in [1, n - 1]: residue 0 is set apart
+                    t = t % (n - 1) + 1 if sub else (t + 1) % n
+                yield t
+
+        monkeypatch.setattr(sets, "_pair_residues", moved)
+        assert not sets._use_fft(run_trial(n, p, 5, 1, k_max=3).card, n)
+        monkeypatch.setattr(experiments, "_pick_kernel", lambda A: "dense")
+        run_trial(n, p, 5, 0, k_max=3)  # support and totals checks pass
+        monkeypatch.setattr(experiments, "_pick_kernel", sets._pick_kernel)
+        with pytest.raises(AssertionError, match=f"sampled pair counts off for {kind}"):
+            run_trial(n, p, 5, 0, k_max=3)
+
+    @pytest.mark.parametrize("block", [1, 7, experiments._RECOUNT_BLOCK])
+    def test_pair_counts_at_sampled_residues(self, monkeypatch, block):
+        monkeypatch.setattr(experiments, "_RECOUNT_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for n in (1, 2, 12, 13, 97, 256, 10007):
+            for members in ([], [n - 1], range(n), range(0, n, 2),
+                            np.flatnonzero(rng.random(n) < 0.1)):
+                A = sets.ResidueSet.from_indices(n, members)
+                prof = multiplicity.multiplicity_profile(A)
+                residues = rng.integers(0, n, 300)
+                sums, diffs = experiments._pair_counts_at(A, residues)
+                assert sums.tolist() == prof.m_sum[residues].tolist()
+                assert diffs.tolist() == prof.m_diff[residues].tolist()
+
     @staticmethod
     def count_enumerations(monkeypatch, n, p, trial_index, k_max):
         """run_trial's pair enumerations, as the subtract flag of each call."""

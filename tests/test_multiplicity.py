@@ -257,6 +257,55 @@ class TestProfileBruteForce:
         assert beyond_max > 0
 
 
+class TestHistogram:
+    """The multiplicity histograms against np.bincount of the widened counts."""
+
+    @staticmethod
+    def assert_histograms(n, members):
+        prof = profile_of(n, sorted(set(members)))
+        for hist, mult in ((prof.sum_histogram, prof.m_sum),
+                           (prof.diff_histogram, prof.m_diff)):
+            ref = np.bincount(mult.astype(np.int64))
+            assert hist.dtype == ref.dtype == np.int64
+            assert hist.tolist() == ref.tolist()  # the same length and values
+        return prof
+
+    def test_small_moduli_and_edge_sets(self, backend):
+        rng = random.Random(16)
+        for n in range(1, 41):
+            for members in ([], [0], [n - 1], range(n), range(0, n, 2),
+                            [r for r in range(n) if rng.random() < 0.3]):
+                self.assert_histograms(n, members)
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 100, 1000, 1001])
+    def test_the_self_mirrored_residues(self, backend, n):
+        # m_diff[0] = |A| and, at even n, m_diff[n/2] are counted once, apart
+        # from the doubled half; here both are nonzero at even n
+        half = n // 2
+        for members in ([0, half], [0, 1, half, half + 1], range(half + 1)):
+            prof = self.assert_histograms(n, [r % n for r in members])
+            if n % 2 == 0:
+                assert prof.m_diff[half] > 0
+
+    @pytest.mark.parametrize("n", [101, 100])
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_maxima_at_the_bound_and_one_above(self, backend, n, above):
+        # {0..L-1} with 2L <= n: the largest sum multiplicity is ceil(L/2),
+        # the largest nonzero difference multiplicity L - 1 (m_diff[0] = L)
+        bound = multiplicity._COUNT_BY_VALUE_MAX
+        prof = self.assert_histograms(n, range(2 * (bound + above)))
+        assert prof.m_sum.max() == bound + above
+        prof = self.assert_histograms(n, range(bound + above + 1))
+        assert prof.m_diff[1:].max() == bound + above
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_dense_sets_above_the_bound(self, backend, n):
+        rng = random.Random(n)
+        for members in (range(n), [r for r in range(n) if rng.random() < 0.5]):
+            prof = self.assert_histograms(n, members)
+            assert prof.m_sum.max() > multiplicity._COUNT_BY_VALUE_MAX
+
+
 class TestXkYk:
     def test_x2_full_set(self):
         assert x_k(multiplicity_profile(FULL7), 2) == 7 * comb(4, 2)
@@ -358,9 +407,23 @@ class TestExpectations:
         assert oracle_mean(n, p, xk_stat) == expected_x_k_exact(n, p, k)
         assert oracle_mean(n, p, yk_stat) == expected_y_k_exact(n, p, k)
 
-    def test_exact_x_k_needs_odd_n(self):
-        with pytest.raises(ParameterError):
-            expected_x_k_exact(8, Fraction(1, 2), 1)
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_exact_x_k_at_even_n(self, n):
+        # an even sum has two self-slots (a and a + n/2), an odd one none
+        for p in (Fraction(1, 3), Fraction(2, 5)):
+            for k in (1, 2, 3):
+                def xk_stat(mask, nn):
+                    members = [r for r in range(nn) if mask >> r & 1]
+                    m_sum = Counter((a + b) % nn for i, a in enumerate(members)
+                                    for b in members[i:])
+                    return sum(comb(m, k) for m in m_sum.values())
+
+                assert expected_x_k_exact(n, p, k) == oracle_mean(n, p, xk_stat)
+
+    def test_exact_x_k_parameter_errors(self):
+        for n, k in ((0, 1), (-3, 1), (8, 0)):
+            with pytest.raises(ParameterError):
+                expected_x_k_exact(n, Fraction(1, 2), k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_y_k_over_divisors_equals_the_loop_over_residues(self, k):
