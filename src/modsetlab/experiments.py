@@ -29,7 +29,7 @@ SCHEMA_VERSION = "1"
 REGIMES = ("fast", "critical", "slow", "intermediate", "fixed")
 SPOT_CHECK_EVERY = 100  # per-trial identity check on 1% of trials
 SPOT_CHECK_RESIDUES = 256  # residues whose pair counts a sparse spot check recounts
-_RECOUNT_BLOCK = 1 << 20  # max (residue, member) index entries held at once
+_RECOUNT_BLOCK = 1 << 16  # max (residue, member) index entries held at once
 
 __all__ = [
     "RegimeSpec",
@@ -151,7 +151,8 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
               k_max: int = 0) -> TrialRecord:
     """Sample trial `trial_index` and measure its set sizes (and x_k/y_k if asked);
     trials 0, SPOT_CHECK_EVERY, ... also check both sizes by inclusion-exclusion
-    and the profile's count totals.
+    and the profile's count totals, and on sparse sets recount the profile at
+    SPOT_CHECK_RESIDUES residues (`_pair_counts_at`).
 
     When x_k/y_k are asked for, the profile comes first and the sparse kernels
     read A+A and A-A off its pair counts.  On a spot-checked trial the kernels
@@ -164,6 +165,15 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
     s = sumset(A).cardinality
     d = difference_set(A).cardinality
     if spot_check:
+        # the scatter and the pair count share one enumerator, so a block whose
+        # mass it moves passes the two checks below: on sparse sets recount a
+        # sample of residues from the definitions.  Before the profile is
+        # counted: recounting after it raised a critical sweep's peak RSS.
+        recount = None
+        if _pick_kernel(A) == "sparse":
+            residues = np.random.default_rng((n, trial_index)).integers(
+                0, n, SPOT_CHECK_RESIDUES)
+            recount = residues, _pair_counts_at(A, residues)
         profile = multiplicity_profile(A)
         for kind, size in (("sum", s), ("difference", d)):
             if inclusion_exclusion_size(profile, kind) != size:
@@ -174,14 +184,11 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
         c = A.cardinality
         if int(profile.m_sum.sum()) != c * (c + 1) // 2 or int(profile.m_diff.sum()) != c * c:
             raise AssertionError(f"pair count totals off (n={n}, trial={trial_index})")
-        # the scatter and the pair count share one enumerator, so a block whose
-        # mass it moves passes both checks above: recount a sample directly
-        if _pick_kernel(A) == "sparse":
-            residues = np.random.default_rng((n, trial_index)).integers(
-                0, n, SPOT_CHECK_RESIDUES)
-            for kind, got, counts in zip(("sum", "difference"), _pair_counts_at(A, residues),
-                                         (profile.m_sum, profile.m_diff)):
-                if not np.array_equal(got, counts[residues]):
+        if recount:
+            residues, got = recount
+            for kind, g, counts in zip(("sum", "difference"), got,
+                                       (profile.m_sum, profile.m_diff)):
+                if not np.array_equal(g, counts[residues]):
                     raise AssertionError(f"sampled pair counts off for {kind}s "
                                          f"(n={n}, trial={trial_index})")
     xk: tuple[int, ...] = ()
@@ -200,22 +207,28 @@ def _pair_counts_at(A, residues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m_sum[r], m_diff[r]) for each r of `residues`, counted from the definitions.
 
     m_sum[r] = (#{a in A : r - a in A} + #{a in A : 2a = r}) / 2 and
-    m_diff[r] = #{a in A : a - r in A}, read off the indicator of A laid out
-    twice, so that r - a + n and a - r + n index it without a modulo.  It
-    shares no code with the pair enumerator of `sets`.
+    m_diff[r] = #{a in A : a - r in A}, with membership read off the bytes of
+    A's bit mask.  It shares no code with the pair enumerator of `sets`, and
+    holds no length-n array: (residue, member) blocks of at most
+    _RECOUNT_BLOCK entries.
     """
     n, idx = A.n, A.indices()
-    bits = np.zeros(2 * n, dtype=np.uint8)
-    bits[idx] = bits[idx + n] = 1
-    doubles = np.sort(2 * idx % n)
-    diagonal = np.searchsorted(doubles, residues, "right") - np.searchsorted(doubles, residues)
+    packed = np.frombuffer(A.mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    doubles = 2 * idx % n
+
+    def members(t):  # per row, how many of the residues t (mod n) are in A
+        np.add(t, n, out=t, where=t < 0)
+        # a uint8 shift count keeps the shifted bytes uint8, not int64
+        return np.count_nonzero((packed[t >> 3] >> (t & 7).astype(np.uint8)) & 1, axis=1)
+
     sums, diffs = [], []
     step = max(1, _RECOUNT_BLOCK // max(idx.size, 1))
     for i in range(0, residues.size, step):
         rows = residues[i:i + step]
-        sums.append(bits[np.subtract.outer(rows + n, idx)].sum(axis=1))
-        diffs.append(bits[np.add.outer(n - rows, idx)].sum(axis=1))
-    return (np.concatenate(sums) + diagonal) // 2, np.concatenate(diffs)
+        diagonal = np.count_nonzero(np.equal.outer(rows, doubles), axis=1)
+        sums.append((members(np.subtract.outer(rows, idx)) + diagonal) // 2)
+        diffs.append(members(np.add.outer(-rows, idx)))
+    return np.concatenate(sums), np.concatenate(diffs)
 
 
 def _run_trial(job) -> TrialRecord:

@@ -32,7 +32,8 @@ the residues of nonzero multiplicity.  The Monte Carlo spot check compares
 it with |A+A| / |A-A| from `sets`, whose kernels run before the profile on
 a spot-checked trial: for dense sets that sets the FFT against the
 bit-rotation kernel, two algorithms that share no code, and for sparse sets
-the pair count against the pair scatter.
+the pair count against the pair scatter, which share the pair enumerator, so
+`experiments` also recounts a sample of residues from the definitions.
 """
 
 from __future__ import annotations

@@ -53,7 +53,9 @@ profile exists.  For dense sets the check then sets the rotations against
 the FFT, which share no code; for sparse sets the scatter against the
 pair count, which share only `_pair_residues`, tested against brute force.
 The check also asserts the profile's count totals, which a dropped or
-repeated pair block would change while leaving both supports as they were.
+repeated pair block would change while leaving both supports as they were,
+and on sparse sets recounts a sample of residues without `_pair_residues`,
+which a block whose mass moved would fail.
 
 Sampling is deterministic: the random stream of trial t is derived only
 from (base_seed, t), so trials can run in any order, on any number of

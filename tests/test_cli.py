@@ -534,15 +534,16 @@ class TestSweepCommand:
     def test_critical_sweep_rows_do_not_depend_on_kmax(self, capsys, tmp_path):
         # a critical sweep on a process pool, spot-checked on trials 0 and 100:
         # without --kmax the kernels scatter the pairs, with it they read the
-        # profile's pair counts, and the trial rows must not differ
+        # profile's pair counts, and the trial rows must not differ; the even
+        # modulus has the self-mirrored difference n/2
         rows = []
         for extra in ([], ["--kmax", "5"]):
             out = tmp_path / f"trials{len(extra)}.csv"
             code, _, _ = run_cli(capsys, "sweep", "--regime", "critical", "--c", "1",
-                                 "--n", "1009", "--trials", "101", "--workers", "2",
+                                 "--n", "1009", "1024", "--trials", "101", "--workers", "2",
                                  "--out", str(out), *extra)
             assert code == 0
             rows.append([line for line in out.read_text().splitlines()
                          if not line.startswith("#")])
-        assert len(rows[0]) == 1 + 101
+        assert len(rows[0]) == 1 + 2 * 101
         assert rows[0] == rows[1]
