@@ -167,8 +167,8 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
     if spot_check:
         # the scatter and the pair count share one enumerator, so a block whose
         # mass it moves passes the two checks below: on sparse sets recount a
-        # sample of residues from the definitions.  Before the profile is
-        # counted: recounting after it raised a critical sweep's peak RSS.
+        # sample of residues from the definitions, before the profile is
+        # counted, which measured the lower peak memory
         recount = None
         if _pick_kernel(A) == "sparse":
             residues = np.random.default_rng((n, trial_index)).integers(

@@ -226,6 +226,9 @@ def sample_subset(spec: SampleSpec) -> ResidueSet:
     rng = _trial_rng(spec.base_seed, spec.trial_index)
     u = rng.integers(0, _ONE, size=spec.n, dtype=np.uint64)
     bits = (u < np.uint64(threshold)).astype(np.uint8)
+    # free the 8n-byte draws before the mask is built: a mask allocated above
+    # them splits the heap, and a later trial's pair counts then grow it
+    del u
     return ResidueSet(spec.n, _mask_from_bits(bits))
 
 
