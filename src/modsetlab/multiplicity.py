@@ -12,7 +12,7 @@ Each reads its k from one histogram per side (how many residues have each
 multiplicity), built once per profile on first use and cached on it, whatever
 the number of k asked for.  A histogram counts by value: one
 np.count_nonzero(body == v) pass per multiplicity v = 1..max, while the
-maximum is at most _COUNT_BY_VALUE_MAX (about 7 on both sides at p = n^-1/2),
+maximum is at most _COUNT_BY_VALUE_MAX (7 or 8 at p = n^-1/2, n ~ 1e6),
 and one np.add.at pass above it (a dense set's maximum is about |A|).  The
 difference side reads half of m_diff, since m_diff[r] = m_diff[n - r].
 
@@ -53,9 +53,9 @@ from .sets import ResidueSet
 # Count a histogram by value while its maximum is at most this.  One
 # count_nonzero pass per value against one np.add.at pass: at n = 1000423 and
 # 100379, on uint16 counts of critical sets (p = c n^-1/2, c = 1..8), numpy
-# 2.4 on a 2-vCPU Xeon VM, they break even near a maximum of 15-18 on the sum
-# side and 15-17 on the half-read difference side.
-_COUNT_BY_VALUE_MAX = 16
+# 2.4 on a 2-vCPU Xeon VM, two runs broke even near a maximum of 12-18 on the
+# sum side and 11-16 on the half-read difference side (BENCH_16.json).
+_COUNT_BY_VALUE_MAX = 14
 
 __all__ = [
     "MultiplicityProfile",
