@@ -119,8 +119,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--workers", type=int, default=None,
                         help="worker processes, at most the usable CPUs "
                              "(default: the usable CPUs)")
-        sp.add_argument("--kmax", type=int, nargs="?", const=5, default=0,
-                        help="collect x_k/y_k up to this k (bare flag: 5; absent: off)")
         sp.add_argument("--require-prime", action="store_true",
                         help="advance each n to the next prime and certify it")
         sp.add_argument("--out", help="CSV output path (default: stdout)")
@@ -132,6 +130,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sweep", help="Monte Carlo sweep over moduli with a report")
     sp.add_argument("--n", type=int, nargs="+", required=True)
     add_common_sampling(sp)
+    sp.add_argument("--kmax", type=int, nargs="?", const=5, default=0,
+                    help="report the means of x_k/y_k up to this k (bare flag: 5; absent: off)")
     sp.add_argument("--report", help="JSON report path (default: stdout)")
 
     sp = sub.add_parser("exact", help="evaluate one closed form exactly")
@@ -146,8 +146,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("oracle", help="compare closed forms against 2^n enumeration")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=_fraction, required=True)
-    sp.add_argument("--event", choices=_EVENTS)
-    sp.add_argument("--moments", action="store_true")
+    what = sp.add_mutually_exclusive_group()
+    what.add_argument("--event", choices=_EVENTS)
+    what.add_argument("--moments", action="store_true")
     sp.add_argument("--k", type=int)
     sp.add_argument("--i", type=int)
     sp.add_argument("--j", type=int)
@@ -209,7 +210,7 @@ def _load_config_argv(argv: list[str]) -> list[str]:
     return extra + rest
 
 
-def _build_regime_spec(args, n_values: list[int]) -> tuple[RegimeSpec, dict]:
+def _build_regime_spec(args, n_values: list[int], k_max: int = 0) -> tuple[RegimeSpec, dict]:
     seed = args.seed if args.seed is not None else _default_seed()
     workers = args.workers if args.workers is not None else usable_cpus()
     if args.require_prime:
@@ -222,7 +223,7 @@ def _build_regime_spec(args, n_values: list[int]) -> tuple[RegimeSpec, dict]:
     spec = RegimeSpec(
         regime=regime, n_values=tuple(n_values), trials=args.trials, base_seed=seed,
         delta=args.delta, c=args.c, gamma=args.gamma, p_fixed=p_fixed,
-        require_prime=args.require_prime, k_max=args.kmax, workers=workers,
+        require_prime=args.require_prime, k_max=k_max, workers=workers,
     )
     config = {
         "command": args.command,
@@ -272,7 +273,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec, config = _build_regime_spec(args, list(args.n))
+    spec, config = _build_regime_spec(args, list(args.n), args.kmax)
     _check_writable(args.out, args.report)
     result = run_sweep(spec)
     with _open_out(args.out) as out, _open_out(args.report) as report_out:

@@ -49,9 +49,10 @@ def _binomial(a: int, b: int) -> int:
 
 
 def _as_probability(p) -> Fraction:
+    """p as an exact Fraction, checked to lie in [0, 1]: the package's one p check."""
     f = Fraction(p)
     if not 0 <= f <= 1:
-        raise ParameterError(f"p={p!r} outside [0, 1]")
+        raise ParameterError(f"p={p} outside [0, 1]")
     return f
 
 

@@ -91,6 +91,9 @@ class RegimeSpec:
             raise ParameterError(f"unknown regime {self.regime!r}")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ParameterError("n_values must be nonempty positive integers")
+        for i, n in enumerate(self.n_values):
+            if n in self.n_values[:i]:
+                raise ParameterError(f"modulus n={n} appears more than once")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if self.k_max < 0:
@@ -109,9 +112,7 @@ class RegimeSpec:
         if self.regime == "fixed":
             if self.p_fixed is None:
                 raise ParameterError("fixed regime needs p_fixed")
-            object.__setattr__(self, "p_fixed", Fraction(self.p_fixed))
-            if not 0 <= self.p_fixed <= 1:
-                raise ParameterError("p_fixed outside [0, 1]")
+            object.__setattr__(self, "p_fixed", exact._as_probability(self.p_fixed))
         if self.require_prime:
             for n in self.n_values:
                 if not is_prime(n):
@@ -149,15 +150,23 @@ class TrialRecord:
 
 def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
               k_max: int = 0) -> TrialRecord:
-    """Sample trial `trial_index` and measure its set sizes (and x_k/y_k if asked);
-    trials 0, SPOT_CHECK_EVERY, ... also check both sizes by inclusion-exclusion
-    and the profile's count totals, and on sparse sets recount the profile at
-    SPOT_CHECK_RESIDUES residues (`_pair_counts_at`).
+    """Sample trial `trial_index` and measure its set sizes (and x_k/y_k if asked).
 
     When x_k/y_k are asked for, the profile comes first and the sparse kernels
-    read A+A and A-A off its pair counts.  On a spot-checked trial the kernels
-    run first, so the check compares their own pair scatter or rotations with
-    the profile.
+    read A+A and A-A off its pair counts, so each side's pairs are enumerated
+    at most once per trial, and not at all when the FFT filled the counts.
+
+    Trials 0, SPOT_CHECK_EVERY, ... (1%) check the profile against the
+    kernels: both sizes by inclusion-exclusion, and the count totals,
+    |A|(|A|+1)/2 unordered sums and |A|^2 ordered differences.  That is a
+    check only while the two sides are computed apart, so on these trials the
+    kernels run before the profile exists.  On dense sets the rotations then
+    face the FFT, which share no code.  On sparse sets the pair scatter faces
+    the pair count, which share `_pair_residues` (tested against brute
+    force): a dropped or repeated pair block leaves both supports as they
+    were but not the totals, and a block whose mass moved keeps the totals
+    too, so sparse sets also recount both sides at SPOT_CHECK_RESIDUES
+    residues from the definitions (`_pair_counts_at`).
     """
     A = sample_subset(SampleSpec(n=n, p=p, base_seed=base_seed, trial_index=trial_index))
     spot_check = trial_index % SPOT_CHECK_EVERY == 0
@@ -165,10 +174,7 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
     s = sumset(A).cardinality
     d = difference_set(A).cardinality
     if spot_check:
-        # the scatter and the pair count share one enumerator, so a block whose
-        # mass it moves passes the two checks below: on sparse sets recount a
-        # sample of residues from the definitions, before the profile is
-        # counted, which measured the lower peak memory
+        # recount before the profile is counted, which measured the lower peak memory
         recount = None
         if _pick_kernel(A) == "sparse":
             residues = np.random.default_rng((n, trial_index)).integers(
@@ -179,8 +185,6 @@ def run_trial(n: int, p: Fraction, base_seed: int, trial_index: int,
             if inclusion_exclusion_size(profile, kind) != size:
                 raise AssertionError(f"inclusion-exclusion mismatch for {kind}s "
                                      f"(n={n}, trial={trial_index})")
-        # a dropped or repeated pair block keeps the supports above but not
-        # the totals: |A|(|A|+1)/2 unordered sums, |A|^2 ordered differences
         c = A.cardinality
         if int(profile.m_sum.sum()) != c * (c + 1) // 2 or int(profile.m_diff.sum()) != c * c:
             raise AssertionError(f"pair count totals off (n={n}, trial={trial_index})")
@@ -269,11 +273,13 @@ class SweepAggregate:
         return d
 
 
-def _sample_stats(total, total_sq, count: int) -> tuple[float, float, float]:
-    """(mean, sample variance, standard error) from exact sums."""
-    mean = Fraction(total, count)
+def _sample_stats(values: list) -> tuple[float, float, float]:
+    """(mean, sample variance, standard error) of exact values (ints or Fractions),
+    from their exact sum and sum of squares."""
+    count = len(values)
+    mean = Fraction(sum(values), count)
     if count > 1:
-        var = (Fraction(total_sq) - count * mean * mean) / (count - 1)
+        var = (sum(x * x for x in values) - count * mean * mean) / (count - 1)
     else:
         var = Fraction(0)
     se = math.sqrt(float(var) / count)
@@ -283,23 +289,12 @@ def _sample_stats(total, total_sq, count: int) -> tuple[float, float, float]:
 def _aggregate(n: int, p: Fraction, records: list[TrialRecord]) -> SweepAggregate:
     m = len(records)
     sum_card = sum(r.card for r in records)
-    sum_s = sum(r.S for r in records)
-    sum_s2 = sum(r.S * r.S for r in records)
-    sum_d = sum(r.D for r in records)
-    sum_d2 = sum(r.D * r.D for r in records)
     full_s = sum(1 for r in records if r.S == n)
     full_d = sum(1 for r in records if r.D == n)
-    mean_s, var_s, se_s = _sample_stats(sum_s, sum_s2, m)
-    mean_d, var_d, se_d = _sample_stats(sum_d, sum_d2, m)
-
+    mean_s, var_s, se_s = _sample_stats([r.S for r in records])
+    mean_d, var_d, se_d = _sample_stats([r.D for r in records])
     ratios = [r.ratio for r in records if r.ratio is not None]
-    if ratios:
-        rsum = sum(ratios, Fraction(0))
-        rsq = sum((x * x for x in ratios), Fraction(0))
-        mean_r, var_r, se_r = _sample_stats(rsum, rsq, len(ratios))
-    else:
-        mean_r = var_r = se_r = None
-
+    mean_r, var_r, se_r = _sample_stats(ratios) if ratios else (None, None, None)
     k_max = len(records[0].xk) if records else 0
     mean_xk = tuple(float(Fraction(sum(r.xk[i] for r in records), m))
                     for i in range(k_max))

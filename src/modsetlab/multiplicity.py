@@ -7,33 +7,15 @@ Conventions (pinned so the alternating inclusion-exclusion identity is exact):
 * difference pairs are ordered with (a, a) allowed, so they add up to |A|^2
   and the multiplicity of residue 0 is exactly |A|.
 
+The profile only reads the pair counts: `sets` owns them, as the memo
+`ResidueSet._pair_counts`, picks their backend and fixes their dtype, and
+the profile holds those arrays uncopied.
+
 x_k / y_k count k-sets of such pairs sharing one common sum / difference.
 Each reads its k from one histogram per side (how many residues have each
-multiplicity), built once per profile on first use and cached on it, whatever
-the number of k asked for.  A histogram counts by value: one
-np.count_nonzero(body == v) pass per multiplicity v = 1..max, while the
-maximum is at most _COUNT_BY_VALUE_MAX (7 or 8 at p = n^-1/2, n ~ 1e6),
-and one np.add.at pass above it (a dense set's maximum is about |A|).  The
-difference side reads half of m_diff, since m_diff[r] = m_diff[n - r].
-
-The profile only reads the pair counts: `sets` owns them, as the memo
-`ResidueSet._pair_counts`, and picks their backend (pair bincount or checked
-FFT) by size.  The profile holds those arrays uncopied, and on both backends
-they are exact, read-only and narrow: their dtype is the smallest unsigned
-integer that holds |A| (uint8 up to |A| = 255), which no multiplicity can
-exceed.  The sparse kernels of `sets` read A+A and A-A off the same memo.
-Readers widen what they add up: the histograms are int64, and x_k / y_k
-sum Python ints.  Both ways of counting read the read-only arrays in place,
-where np.bincount would copy them.
-
-The alternating inclusion-exclusion series sum_k (-1)^(k+1) X_k collapses
-per residue to 1 - (1 - 1)^m = [m >= 1], so inclusion_exclusion_size counts
-the residues of nonzero multiplicity.  The Monte Carlo spot check compares
-it with |A+A| / |A-A| from `sets`, whose kernels run before the profile on
-a spot-checked trial: for dense sets that sets the FFT against the
-bit-rotation kernel, two algorithms that share no code, and for sparse sets
-the pair count against the pair scatter, which share the pair enumerator, so
-`experiments` also recounts a sample of residues from the definitions.
+multiplicity, `_histogram`), built once per profile on first use and cached
+on it, whatever the number of k asked for.  inclusion_exclusion_size sums
+the alternating series of the X_k (or Y_k) in closed form.
 """
 
 from __future__ import annotations
@@ -54,7 +36,8 @@ from .sets import ResidueSet
 # count_nonzero pass per value against one np.add.at pass: at n = 1000423 and
 # 100379, on uint16 counts of critical sets (p = c n^-1/2, c = 1..8), numpy
 # 2.4 on a 2-vCPU Xeon VM, two runs broke even near a maximum of 12-18 on the
-# sum side and 11-16 on the half-read difference side (BENCH_16.json).
+# sum side and 11-16 on the half-read difference side (BENCH_16.json).  The
+# maxima are 7 or 8 at p = n^-1/2, n ~ 1e6; a dense set's is about |A|.
 _COUNT_BY_VALUE_MAX = 14
 
 __all__ = [
@@ -73,7 +56,7 @@ class MultiplicityProfile:
     """m_sum[r] = #unordered pairs {a,b} from A with a+b = r (mod n);
     m_diff[r] = #ordered pairs (a,b) from AxA with a-b = r (mod n).
 
-    Both are read-only, of the narrowest unsigned dtype that holds |A|, so
+    Both are A's read-only pair counts, of the narrow `sets._count_dtype`, so
     arithmetic on them wraps: widen them (astype, or sum, which accumulates
     in uint64) before subtracting or multiplying.
 
@@ -103,7 +86,8 @@ def _histogram(mult: np.ndarray, mirrored: bool = False) -> np.ndarray:
     as m_diff) is read up to (n - 1) / 2 and each count doubled; residue 0
     and, at even n, residue n/2 are their own mirrors and count once, apart.
     Residue 0 of m_diff is |A|, so kept in the body it would set the loop's
-    bound.
+    bound.  Both ways read the narrow read-only counts in place, where
+    np.bincount would copy and widen them.
     """
     n = mult.size
     body, weight, apart = mult, 1, mult[:0]

@@ -2,60 +2,25 @@
 
 A subset is stored as an immutable bit mask over the residues 0..n-1.  Since
 A-A = A + (-A), three primitives carry every sum and difference in the
-package, each written once here:
-
-* `_neg`, negation mod n by a bit reversal (log n mask-and-shift steps);
-* `_or_rotations`, the OR of one mask rotated by each member of a shift set,
-  which stops once the result is all of Z/nZ (the dense kernel: A+A is A
-  rotated by A, A-A is -A rotated by A; cost ~ |A| * n / wordsize, but a
-  dense random set fills Z/nZ in a few dozen rotations);
-* `_pair_residues`, the pair sums or differences of each unordered pair
-  {a, b}, a != b, once, in flat blocks read off cyclic shifts of the sorted
-  members (the sparse kernel scatters them into a mask, cost ~ |A|^2 / 2;
-  `_pair_bincount` counts them).  The diagonal a = b and, for differences,
-  the negation b - a -> a - b are added back by the caller: both sides are
-  symmetric, so the other half of the |A|^2 ordered pairs says nothing new.
-
-``kernel="auto"`` picks the dense or sparse kernel by a size threshold; both
-produce identical masks.  `graphs` builds its oracle predicates from `_neg`
-and `_or_rotations`, and works on uint32 arrays of masks as well as on ints.
+package, each written once here and shared by `multiplicity` and `graphs`:
+`_neg`, negation mod n; `_or_rotations`, the dense kernel (A+A is A rotated
+by A, A-A is -A rotated by A, cost ~|A| n / wordsize, but a dense random set
+fills Z/nZ in a few dozen rotations); and `_pair_residues`, each unordered
+pair {a, b}, a != b, once, which the sparse kernel scatters into a mask
+(cost ~|A|^2 / 2).  ``kernel="auto"`` picks the dense or sparse kernel by a
+size threshold (`_pick_kernel`); both produce identical masks.
 
 A set's pair counts have one owner: `ResidueSet._pair_counts`, the memo of
-the multiplicity profile's arrays (m_sum with the |A| diagonal sums, m_diff
-with both orders and the |A| zero differences), counted at most once per set
-and read-only, since `multiplicity.multiplicity_profile` hands them out
-uncopied.  The arrays are exact and narrow: their dtype is `_count_dtype`,
-the smallest unsigned integer that holds |A| (uint8 up to |A| = 255, uint16
-up to 65535), which no count can overflow, since m_sum[r] <= (|A| + 1) / 2
-and m_diff[r] <= |A|.  It depends on |A| alone.  Every n-length pass over
-the counts (counting, `_mirror`, the supports, the histograms) then touches
-a quarter or an eighth of the bytes that int64 would.
-
-Two backends fill the memo, picked from |A| and n alone (`_use_fft`), as
-`_pick_kernel` picks the set kernels.  Sparse sets count each unordered pair
-once (cost ~|A|^2 / 2), by np.add.at into the narrow array, and fold the
-difference counts with their negations (`_mirror`); dense ones use a real
-FFT convolution and correlation zero-padded to a power of two L >= 2n (cost
-~L log L), whose every result checks its own exactness in int64 (rounding
-error below 1/4, the count totals, the |A| diagonal differences) before it
-is cast to the narrow dtype, and falls back to the pair count if any check
-fails, so both backends store identical arrays.  On both, the |A| diagonal
-sums 2a go in place by np.add.at, which counts a and a + n/2 both at even n.
-
-A+A and A-A are the residues of nonzero multiplicity, so once a set holds
-the memo the sparse kernel returns its support, whichever backend filled
-it.  Without the memo the kernel scatters the pairs, which is faster than
-counting them: sweeps without x_k/y_k never build it.
-
-The Monte Carlo spot check compares the kernels with the profile, so on a
-spot-checked trial `experiments.run_trial` calls the kernels before the
-profile exists.  For dense sets the check then sets the rotations against
-the FFT, which share no code; for sparse sets the scatter against the
-pair count, which share only `_pair_residues`, tested against brute force.
-The check also asserts the profile's count totals, which a dropped or
-repeated pair block would change while leaving both supports as they were,
-and on sparse sets recounts a sample of residues without `_pair_residues`,
-which a block whose mass moved would fail.
+the multiplicity profile's arrays, counted at most once per set.  They are
+exact, read-only, since `multiplicity.multiplicity_profile` hands them out
+uncopied, and of the narrow `_count_dtype(|A|)`, so every n-length pass over
+them (counting, `_mirror`, the supports, the histograms) touches a quarter
+or an eighth of the bytes that int64 would.  Two backends fill the memo,
+picked from |A| and n alone (`_use_fft`): the pair count for sparse sets and
+a self-checked FFT for dense ones, which store identical arrays.  Once a set
+holds the memo, the sparse kernel returns its support, whichever backend
+filled it; without it the kernel scatters the pairs, which is faster than
+counting them, so sweeps without x_k/y_k never build it.
 
 Sampling is deterministic: the random stream of trial t is derived only
 from (base_seed, t), so trials can run in any order, on any number of
@@ -71,6 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError
+from .exact import _as_probability
 
 _WORD_BITS = 64
 _FRAC_BITS = 64          # probabilities are realized on the k / 2**64 grid
@@ -96,10 +62,7 @@ def dyadic64(p) -> Fraction:
     (floats) are pushed through this function so that the stored rational p
     is exactly the inclusion probability used.
     """
-    f = Fraction(p)
-    if not 0 <= f <= 1:
-        raise ParameterError(f"probability {p!r} outside [0, 1]")
-    return Fraction(_threshold64(f), _ONE)
+    return Fraction(_threshold64(_as_probability(p)), _ONE)
 
 
 def _threshold64(p: Fraction) -> int:
@@ -197,11 +160,9 @@ class SampleSpec:
     trial_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
         if self.n < 1:
             raise ParameterError(f"modulus must be >= 1, got {self.n}")
-        if not 0 <= self.p <= 1:
-            raise ParameterError(f"p={self.p} outside [0, 1]")
+        object.__setattr__(self, "p", _as_probability(self.p))
         if self.trial_index < 0:
             raise ParameterError("trial_index must be nonnegative")
 
@@ -287,30 +248,24 @@ def _pair_residues(n: int, idx: np.ndarray, subtract: bool):
     each pair turns up once.  Row s is a window of idx doubled, read in place
     by sliding_window_view: no mask, no index table.  For differences the
     upper copy is idx + n, so b - a already lies in [1, n-1]; the one-sided
-    difference counts fold with their negations in `_mirror`.
+    difference counts fold with their negations in `_mirror`.  The caller adds
+    the diagonal a = b: both sides are symmetric, so the other half of the
+    |A|^2 ordered pairs says nothing new.
 
     A block holds at most _SPARSE_BLOCK entries (one row of |A| if |A| is
-    larger); the half row of an even c rides on the last block if it fits.
+    larger): whole rows, then the half row of an even c as a block of its own.
     """
     c = idx.size
     if c < 2:
         return
-    rows, half = (c - 1) // 2, (c // 2 if c % 2 == 0 else 0)
+    rows, half = (c - 1) // 2, c // 2
     doubled = np.concatenate((idx, idx + n if subtract else idx))
     windows = np.lib.stride_tricks.sliding_window_view(doubled, c)
     op = np.subtract if subtract else np.add
     step = max(1, _SPARSE_BLOCK // c)
     for s in range(1, rows + 1, step):
-        stop = min(s + step, rows + 1)
-        size = (stop - s) * c
-        tail = half if stop > rows and size + half <= max(_SPARSE_BLOCK, c) else 0
-        t = np.empty(size + tail, dtype=np.int64)
-        op(windows[s:stop], idx, out=t[:size].reshape(-1, c))
-        if tail:
-            op(doubled[half:c], idx[:half], out=t[size:])
-            half = 0
-        yield _wrap(t, n, subtract)
-    if half:
+        yield _wrap(op(windows[s:min(s + step, rows + 1)], idx).ravel(), n, subtract)
+    if c % 2 == 0:
         yield _wrap(op(doubled[half:c], idx[:half]), n, subtract)
 
 
@@ -324,7 +279,8 @@ def _wrap(t: np.ndarray, n: int, subtract: bool) -> np.ndarray:
 def _count_dtype(c: int) -> np.dtype:
     """The narrowest unsigned dtype that holds |A| = c, the dtype of A's pair counts.
 
-    No count overflows it: m_sum[r] <= (c + 1) / 2 and m_diff[r] <= c.
+    uint8 up to c = 255, uint16 up to 65535; it depends on |A| alone.  No
+    count overflows it: m_sum[r] <= (c + 1) / 2 and m_diff[r] <= c.
     """
     return np.min_scalar_type(max(c, 1))
 
@@ -335,7 +291,8 @@ def _pair_bincount(n: int, idx: np.ndarray, subtract: bool) -> np.ndarray:
     Sums count #{a, b} with a + b = r; differences count the one-sided b - a
     of `_pair_residues`, which `_mirror` folds with its negation.  Each block
     is counted in place by np.add.at into one array of `_count_dtype(|idx|)`;
-    the added one has that dtype too, which keeps numpy on its fast loop.
+    the added one has that dtype too, which keeps numpy on its fast ufunc.at
+    loop (numpy >= 1.25).
     """
     m = np.zeros(n, dtype=_count_dtype(idx.size))
     one = m.dtype.type(1)
@@ -390,12 +347,17 @@ def _fft_length(n: int) -> int:
 
 
 def _use_fft(c: int, n: int) -> bool:
-    """Count the pairs of |A| = c in Z/nZ by FFT rather than by bincount.
+    """Count the pairs of |A| = c in Z/nZ by FFT rather than by the pair count.
 
-    The pair bincount costs ~|A|^2 and the padded FFT ~L log2 L; measured
-    with numpy 2.4 on a 2-vCPU Xeon VM for n from 2e3 to 1e6, they break even near
-    |A|^2 = L log2 L / 4, so sparse critical-density sets (|A| ~ sqrt(n))
-    stay on the bincount and dense ones (|A| ~ n p) go to the FFT.
+    The pair count costs ~|A|^2 and the padded FFT ~L log2 L.  The threshold
+    |A|^2 = L log2 L / 4 is where the FFT broke even, for n from 2e3 to 1e6
+    (numpy 2.4, 2-vCPU Xeon VM), with a pair count that was then a bincount
+    into int64.  The narrow np.add.at count is faster: at n = 1000003 and
+    |A| = 6636, on the FFT side of the threshold, it took 302 ms against the
+    FFT's 321 ms, while at n = 100003 and |A| = 2172 the FFT still won (22
+    against 32 ms).  So the break-even has moved up near n ~ 1e6 and not near
+    1e5.  The constant stays until a workload has sets near it: critical sets
+    (|A| ~ sqrt(n)) are far below it and dense ones (|A| ~ n p) far above.
     """
     L = _fft_length(n)
     return _FFT_CROSSOVER * c * c > L * (L.bit_length() - 1)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, determinism, config file, exit codes."""
 
 import json
+import math
 import random
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -8,9 +9,10 @@ from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from modsetlab import cli
+from modsetlab import SampleSpec, cli, sample_subset
 from modsetlab import exact
 
 
@@ -66,7 +68,17 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "--n", "7", "--p", "3/2",
                                "--trials", "1")
         assert code == 1
-        assert "error" in err
+        assert err == "error: p=3/2 outside [0, 1]\n"
+
+    def test_kmax_is_a_sweep_flag(self, capsys, tmp_path):
+        # sample prints no x_k/y_k, so it takes no --kmax, from a flag or a config
+        argv = ("sample", "--n", "101", "--p", "1/2", "--trials", "1")
+        assert run_cli(capsys, *argv, "--kmax", "5") == \
+            (1, "", "error: unrecognized arguments: --kmax 5\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kmax=5\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert (code, out) == (1, "") and "--kmax=5" in err
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -342,6 +354,15 @@ class TestOracle:
         per_cycle = exact.prob_diff_missing_composite(6, 2, Fraction(1, 2))
         assert comp["closed_form"] != f"{per_cycle.numerator}/{per_cycle.denominator}"
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--moments", "--event", "diff-missing", "--k", "0"),
+         "argument --event: not allowed with argument --moments"),
+        (("--k", "1"), "oracle needs --moments or --event"),
+    ], ids=["both", "neither"])
+    def test_moments_or_event(self, capsys, flags, message):
+        assert run_cli(capsys, "oracle", "--n", "7", "--p", "1/2", *flags) == \
+            (1, "", f"error: {message}\n")
+
     def test_moments(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "7", "--p", "1/2", "--moments")
         assert code == 0
@@ -531,13 +552,20 @@ class TestSweepCommand:
         assert code == 1 and "critical regime needs c > 0" in err
         assert out.read_text() == report.read_text() == "kept\n"
 
+    def test_repeated_modulus_is_a_parameter_error(self, capsys):
+        # 1000 and 1003 both advance to the prime 1009
+        assert run_cli(capsys, "sweep", "--p", "1/2", "--n", "1000", "1003",
+                       "--require-prime", "--trials", "2") == \
+            (1, "", "error: modulus n=1009 appears more than once\n")
+
     def test_critical_sweep_rows_do_not_depend_on_kmax(self, capsys, tmp_path):
         # a critical sweep on a process pool, spot-checked on trials 0 and 100:
         # without --kmax the kernels scatter the pairs, with it they read the
         # profile's pair counts, and the trial rows must not differ; the even
         # modulus has the self-mirrored difference n/2
         rows = []
-        for extra in ([], ["--kmax", "5"]):
+        report = tmp_path / "report.json"
+        for extra in ([], ["--kmax", "5", "--report", str(report)]):
             out = tmp_path / f"trials{len(extra)}.csv"
             code, _, _ = run_cli(capsys, "sweep", "--regime", "critical", "--c", "1",
                                  "--n", "1009", "1024", "--trials", "101", "--workers", "2",
@@ -547,3 +575,26 @@ class TestSweepCommand:
                          if not line.startswith("#")])
         assert len(rows[0]) == 1 + 2 * 101
         assert rows[0] == rows[1]
+        # the trial rows carry no x_k/y_k: check the report's means against a
+        # recount of every trial's pair multiplicities by brute force
+        data = json.loads(report.read_text())
+        seed = data["config"]["seed"]
+        for agg in data["aggregates"]:
+            n = agg["n"]
+            p = Fraction(data["config"]["p"][str(n)])
+            xk, yk = [], []
+            for t in range(101):
+                idx = sample_subset(SampleSpec(n=n, p=p, base_seed=seed, trial_index=t)).indices()
+                upper = np.triu_indices(idx.size)  # unordered sums, a = b allowed
+                m_sum = np.bincount(np.add.outer(idx, idx)[upper] % n, minlength=n)
+                m_diff = np.bincount(np.subtract.outer(idx, idx).ravel() % n, minlength=n)
+                xk.append([_k_sets_sharing_a_value(m_sum, k) for k in range(1, 6)])
+                yk.append([_k_sets_sharing_a_value(m_diff, k) for k in range(1, 6)])
+            assert agg["mean_xk"] == [float(Fraction(sum(col), 101)) for col in zip(*xk)]
+            assert agg["mean_yk"] == [float(Fraction(sum(col), 101)) for col in zip(*yk)]
+
+
+def _k_sets_sharing_a_value(mult, k):
+    """sum over residues r of C(mult[r], k)."""
+    values, counts = np.unique(mult, return_counts=True)
+    return sum(int(c) * math.comb(int(v), k) for v, c in zip(values, counts))

@@ -1,6 +1,7 @@
 """Core set sampling and kernel tests."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from modsetlab import (
     ParameterError,
+    RegimeSpec,
     ResidueSet,
     SampleSpec,
     difference_set,
     dyadic64,
+    f_series,
     missing_counts,
     sample_subset,
     sumset,
@@ -78,6 +81,19 @@ class TestDyadic64:
     def test_range(self):
         with pytest.raises(ParameterError):
             dyadic64(Fraction(3, 2))
+
+    @pytest.mark.parametrize("p, shown", [(Fraction(3, 2), "3/2"), (-0.25, "-0.25"),
+                                          (1.1547005383792517, "1.1547005383792517")])
+    @pytest.mark.parametrize("check", [
+        dyadic64,
+        lambda p: SampleSpec(n=5, p=p, base_seed=1),
+        lambda p: RegimeSpec(regime="fixed", n_values=(5,), trials=1, base_seed=0, p_fixed=p),
+        lambda p: f_series(5, p),
+    ], ids=["dyadic64", "SampleSpec", "RegimeSpec", "f_series"])
+    def test_one_probability_check(self, check, p, shown):
+        # one check, one message, which shows p as given
+        with pytest.raises(ParameterError, match=rf"^p={re.escape(shown)} outside \[0, 1\]$"):
+            check(p)
 
 
 class TestSampling:
