@@ -346,27 +346,18 @@ def _comparison(name: str, oracle_value: Fraction, closed: Fraction) -> dict:
     }
 
 
-def _diff_missing(a):
-    if a.n > 0 and a.k % a.n == 0:  # n < 1 is left to the oracle to reject
-        raise ParameterError("k must be a nonzero residue")
-    return graphs.event_diff_missing(a.k)
-
-
-def _sums_missing(a):
-    if a.n > 0 and (a.i - a.j) % a.n == 0:
-        raise ParameterError("the two target sums must differ")
-    return graphs.event_sums_missing(a.i, a.j)
-
-
-# event -> (required flags, comparison name, its predicate, its pair graph);
-# the closed form is the graph's independence probability, asserted at every n
+# event -> (required flags, comparison name, its predicate, its pair graph), the
+# last two called with the flags' values.  The oracle runs first, since it caps
+# n before an O(n) graph is built; the graph then rejects a target that defines
+# no event.  The closed form is the graph's independence probability, asserted
+# at every n.
 _EVENTS = {
-    "diff-missing": (("k",), "P(k not in A-A)", _diff_missing,
-                     lambda a: graphs.build_diff_graph(a.n, a.k)),
-    "sum-missing": (("i",), "P(i not in A+A)", lambda a: graphs.event_sums_missing(a.i),
-                    lambda a: graphs.build_sum_graph(a.n, a.i)),
-    "both-sums-missing": (("i", "j"), "P(i,j not in A+A)", _sums_missing,
-                          lambda a: graphs.build_sum_graph(a.n, a.i, a.j)),
+    "diff-missing": (("k",), "P(k not in A-A)", graphs.event_diff_missing,
+                     graphs.build_diff_graph),
+    "sum-missing": (("i",), "P(i not in A+A)", graphs.event_sums_missing,
+                    graphs.build_sum_graph),
+    "both-sums-missing": (("i", "j"), "P(i,j not in A+A)", graphs.event_sums_missing,
+                          graphs.build_sum_graph),
 }
 
 
@@ -386,13 +377,13 @@ def cmd_oracle(args) -> int:
                "moments": {k: _frac_str(v) for k, v in asdict(mom).items()},
                "comparisons": comparisons}
     elif args.event:
-        flags, name, predicate, graph = _EVENTS[args.event]
+        flags, name, event, graph = _EVENTS[args.event]
         _need(args, args.event, *flags)
+        targets = [getattr(args, flag) for flag in flags]
         include_empty = bool(args.include_empty)
-        event = predicate(args)
-        # the oracle first: it caps n before a graph is built
-        value = graphs.oracle_event_probability(n, p, event, include_empty_set=include_empty)
-        closed = exact.independence_probability(graph(args).components, p)
+        value = graphs.oracle_event_probability(n, p, event(*targets),
+                                                include_empty_set=include_empty)
+        closed = exact.independence_probability(graph(n, *targets).components, p)
         if not include_empty:
             closed -= q ** n  # A = empty misses every target
         comparisons = [_comparison(name, value, closed)]

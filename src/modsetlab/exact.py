@@ -5,6 +5,8 @@ combinatorial counts are Python integers.  Floating point appears only in the
 log-domain gauge functions and in the regime targets, where the quantities are
 compared against Monte Carlo output.  _binomial(a, b) = 0 whenever b < 0,
 b > a, or a < 0, which makes every series below total without case splits.
+Each input has one check, here: `_as_probability` for p, and `_check_regime`
+for a decay regime's parameters, which sweeps and `theoretical_targets` share.
 
 Every missing-target event is "A is independent in a pair graph" of
 loop-ended paths and cycles, and `independence_probability` weighs its
@@ -93,11 +95,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_finite(**params: float | None) -> None:
-    """Reject an infinite or NaN regime parameter: no p, target or JSON field holds one."""
-    for name, value in params.items():
+def _check_regime(regime: str, delta: float | None = None, c: float | None = None,
+                  gamma: float | None = None) -> None:
+    """Reject a regime parameter outside its regime's range, or infinite or NaN
+    even where the regime ignores it: no p, target or config field holds one."""
+    for name, value in (("delta", delta), ("c", c), ("gamma", gamma)):
         if value is not None and not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+    if regime == "fast" and (delta is None or not delta > 0.5):
+        raise ParameterError("fast regime needs delta > 1/2")
+    if regime == "slow" and (delta is None or not 0 < delta < 0.5):
+        raise ParameterError("slow regime needs 0 < delta < 1/2")
+    if regime == "critical" and (c is None or not c > 0):
+        raise ParameterError("critical regime needs c > 0")
+    if regime == "intermediate" and (gamma is None or not gamma > 0):
+        raise ParameterError("intermediate regime needs gamma > 0")
 
 
 def path_count(m: int, r: int) -> int:
@@ -386,20 +398,14 @@ def theoretical_targets(regime: str, n: int, *, c: float | None = None,
     alternating series and the ratio law 1 + exp(-c^2/2) both agree with.
     """
     nf = _float_n(n)
-    _check_finite(c=c, delta=delta)
+    if regime not in ("fast", "critical", "slow"):
+        raise ParameterError(f"unknown regime {regime!r} (expected fast/critical/slow)")
+    _check_regime(regime, delta=delta, c=c)
     if regime == "fast":
-        if delta is None or not delta > 0.5:
-            raise ParameterError("fast regime needs delta > 1/2")
         np_ = nf ** (1.0 - delta)
         return Targets(0.5 * np_ * np_, np_ * np_, 2.0)
     if regime == "critical":
-        if c is None or not c > 0:
-            raise ParameterError("critical regime needs c > 0")
         e_half = math.exp(-0.5 * c * c)
         e_full = math.exp(-c * c)
         return Targets(nf * (1.0 - e_half), nf * (1.0 - e_full), 1.0 + e_half)
-    if regime == "slow":
-        if delta is not None and not 0 < delta < 0.5:
-            raise ParameterError("slow regime needs 0 < delta < 1/2")
-        return Targets(nf, nf, 1.0)
-    raise ParameterError(f"unknown regime {regime!r} (expected fast/critical/slow)")
+    return Targets(nf, nf, 1.0)

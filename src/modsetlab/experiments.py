@@ -70,7 +70,7 @@ class RegimeSpec:
       intermediate p = gamma * sqrt(log n / n), gamma > 0
       fixed        p = p_fixed in [0, 1]
 
-    delta, c and gamma must be finite even where ignored: the config records them.
+    `exact._check_regime` checks them.
     """
 
     regime: str
@@ -100,15 +100,7 @@ class RegimeSpec:
             raise ParameterError("k_max must be >= 0")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
-        exact._check_finite(delta=self.delta, c=self.c, gamma=self.gamma)
-        if self.regime == "fast" and (self.delta is None or not self.delta > 0.5):
-            raise ParameterError("fast regime needs delta > 1/2")
-        if self.regime == "slow" and (self.delta is None or not 0 < self.delta < 0.5):
-            raise ParameterError("slow regime needs 0 < delta < 1/2")
-        if self.regime == "critical" and (self.c is None or not self.c > 0):
-            raise ParameterError("critical regime needs c > 0")
-        if self.regime == "intermediate" and (self.gamma is None or not self.gamma > 0):
-            raise ParameterError("intermediate regime needs gamma > 0")
+        exact._check_regime(self.regime, self.delta, self.c, self.gamma)
         if self.regime == "fixed":
             if self.p_fixed is None:
                 raise ParameterError("fixed regime needs p_fixed")
@@ -286,30 +278,27 @@ def _sample_stats(values: list) -> tuple[float, float, float]:
     return float(mean), float(var), se
 
 
+def _mean(values) -> float:
+    """The exact mean of ints, bools or Fractions, rounded to a float once."""
+    return float(Fraction(sum(values), len(values)))
+
+
 def _aggregate(n: int, p: Fraction, records: list[TrialRecord]) -> SweepAggregate:
-    m = len(records)
-    sum_card = sum(r.card for r in records)
-    full_s = sum(1 for r in records if r.S == n)
-    full_d = sum(1 for r in records if r.D == n)
     mean_s, var_s, se_s = _sample_stats([r.S for r in records])
     mean_d, var_d, se_d = _sample_stats([r.D for r in records])
     ratios = [r.ratio for r in records if r.ratio is not None]
     mean_r, var_r, se_r = _sample_stats(ratios) if ratios else (None, None, None)
-    k_max = len(records[0].xk) if records else 0
-    mean_xk = tuple(float(Fraction(sum(r.xk[i] for r in records), m))
-                    for i in range(k_max))
-    mean_yk = tuple(float(Fraction(sum(r.yk[i] for r in records), m))
-                    for i in range(k_max))
-
     return SweepAggregate(
-        n=n, p=p, p_float=float(p), trials=m,
-        mean_card=float(Fraction(sum_card, m)),
+        n=n, p=p, p_float=float(p), trials=len(records),
+        mean_card=_mean([r.card for r in records]),
         mean_S=mean_s, var_S=var_s, se_S=se_s,
         mean_D=mean_d, var_D=var_d, se_D=se_d,
         mean_Sc=float(n) - mean_s, mean_Dc=float(n) - mean_d,
-        frac_S_full=float(Fraction(full_s, m)), frac_D_full=float(Fraction(full_d, m)),
+        frac_S_full=_mean([r.S == n for r in records]),
+        frac_D_full=_mean([r.D == n for r in records]),
         ratio_count=len(ratios), mean_ratio=mean_r, var_ratio=var_r, se_ratio=se_r,
-        mean_xk=mean_xk, mean_yk=mean_yk,
+        mean_xk=tuple(map(_mean, zip(*(r.xk for r in records)))),
+        mean_yk=tuple(map(_mean, zip(*(r.yk for r in records)))),
     )
 
 

@@ -29,13 +29,14 @@ workers, and reproduce bit-identically.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .exact import _as_probability
 
 _WORD_BITS = 64
@@ -43,6 +44,7 @@ _FRAC_BITS = 64          # probabilities are realized on the k / 2**64 grid
 _ONE = 1 << _FRAC_BITS
 _SPARSE_BLOCK = 1 << 22  # max unordered-pair entries held in memory at once
 _FFT_CROSSOVER = 4       # FFT pair counts once 4 |A|^2 > L log2 L; see _use_fft
+_MAX_MODULUS = sys.maxsize // 8  # the most uint64 draws (8 bytes each) one array holds
 
 __all__ = [
     "ResidueSet",
@@ -65,6 +67,15 @@ def dyadic64(p) -> Fraction:
     return Fraction(_threshold64(_as_probability(p)), _ONE)
 
 
+def _check_modulus(n: int) -> None:
+    """Reject a modulus below 1, or too large for n uint64 draws, before any allocation."""
+    if n < 1:
+        raise ParameterError(f"modulus must be >= 1, got {n}")
+    if n > _MAX_MODULUS:
+        raise ResourceLimitError(f"modulus n={n} is above {_MAX_MODULUS}, "
+                                 "the most uint64 draws one array holds")
+
+
 def _threshold64(p: Fraction) -> int:
     """Inclusion threshold on the 64-bit grid: include iff u < threshold."""
     num, rem = divmod(p.numerator * _ONE, p.denominator)
@@ -81,8 +92,7 @@ class ResidueSet:
     mask: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"modulus must be >= 1, got {self.n}")
+        _check_modulus(self.n)
         if not 0 <= self.mask < (1 << self.n):
             raise ParameterError("mask has bits outside [0, n)")
 
@@ -160,8 +170,7 @@ class SampleSpec:
     trial_index: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"modulus must be >= 1, got {self.n}")
+        _check_modulus(self.n)
         object.__setattr__(self, "p", _as_probability(self.p))
         if self.trial_index < 0:
             raise ParameterError("trial_index must be nonnegative")
@@ -425,24 +434,25 @@ def _pair_table_mask(A: ResidueSet, subtract: bool) -> int:
     return _mask_from_bits(bits)
 
 
-def sumset(A: ResidueSet, kernel: str = "auto") -> ResidueSet:
-    """A+A = {a + b mod n : a, b in A} (a = b allowed)."""
+def _kernel(A: ResidueSet, kernel: str, subtract: bool) -> ResidueSet:
+    """A+A, or A-A if `subtract`, by the named kernel; "auto" asks `_pick_kernel`."""
     k = _pick_kernel(A) if kernel == "auto" else kernel
     if k == "dense":
-        return ResidueSet(A.n, _or_rotations(A.n, A.mask, A.mask))
+        base = _neg(A.mask, A.n) if subtract else A.mask
+        return ResidueSet(A.n, _or_rotations(A.n, A.mask, base))
     if k == "sparse":
-        return ResidueSet(A.n, _pair_table_mask(A, subtract=False))
+        return ResidueSet(A.n, _pair_table_mask(A, subtract))
     raise ParameterError(f"unknown kernel {kernel!r}")
+
+
+def sumset(A: ResidueSet, kernel: str = "auto") -> ResidueSet:
+    """A+A = {a + b mod n : a, b in A} (a = b allowed)."""
+    return _kernel(A, kernel, subtract=False)
 
 
 def difference_set(A: ResidueSet, kernel: str = "auto") -> ResidueSet:
     """A-A = {a - b mod n : a, b in A}; symmetric under negation, contains 0 iff A nonempty."""
-    k = _pick_kernel(A) if kernel == "auto" else kernel
-    if k == "dense":
-        return ResidueSet(A.n, _or_rotations(A.n, A.mask, _neg(A.mask, A.n)))
-    if k == "sparse":
-        return ResidueSet(A.n, _pair_table_mask(A, subtract=True))
-    raise ParameterError(f"unknown kernel {kernel!r}")
+    return _kernel(A, kernel, subtract=True)
 
 
 def missing_counts(A: ResidueSet, kernel: str = "auto") -> tuple[int, int]:

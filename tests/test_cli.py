@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from modsetlab import SampleSpec, cli, sample_subset
-from modsetlab import exact
+from modsetlab import exact, experiments
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +69,33 @@ class TestSample:
                                "--trials", "1")
         assert code == 1
         assert err == "error: p=3/2 outside [0, 1]\n"
+
+    @pytest.mark.parametrize("text", ["abc", "1/0"])
+    def test_unparseable_p_is_a_parameter_error(self, capsys, text):
+        code, out, err = run_cli(capsys, "sample", "--n", "7", "--p", text, "--trials", "1")
+        assert (code, out) == (1, "") and err.startswith("error: argument --p: ")
+        assert repr(text) in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--regime", "fixed"), "fixed regime needs --p"),
+        ((), "need either --p or --regime"),
+    ], ids=["fixed-without-p", "neither"])
+    def test_no_probability_is_a_parameter_error(self, capsys, flags, message):
+        assert run_cli(capsys, "sample", "--n", "7", "--trials", "1", *flags) == \
+            (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n, p, workers", [
+        (10 ** 20, "1/2", "1"), (10 ** 20, "0", "1"),
+        (10 ** 20, "1/2", "2"), (10 ** 20, "0", "2"), (2 ** 61, "1/2", "1"),
+    ])
+    def test_modulus_beyond_an_array_is_a_resource_limit(self, capsys, n, p, workers):
+        # n uint64 draws (or an n-bit mask) cannot be allocated: the modulus
+        # is rejected before anything of size n is, on either side of a pool
+        code, out, err = run_cli(capsys, "sample", "--n", str(n), "--p", p,
+                                 "--trials", "2", "--workers", workers, "--seed", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"resource limit: modulus n={n} is above ")
+        assert "Traceback" not in err
 
     def test_kmax_is_a_sweep_flag(self, capsys, tmp_path):
         # sample prints no x_k/y_k, so it takes no --kmax, from a flag or a config
@@ -205,6 +232,11 @@ class TestExact:
                              "--n", "10007", "--c", "1")
         assert data["ratio_target"] == pytest.approx(1.6065306597)
 
+    def test_slow_targets_need_delta(self, capsys):
+        # as a slow sweep does: the one regime check owns the rule
+        assert run_cli(capsys, "exact", "targets", "--regime", "slow", "--n", "101") == \
+            (1, "", "error: slow regime needs 0 < delta < 1/2\n")
+
     def test_rational_beyond_the_int_str_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
         data = self.get_json(capsys, "exact", "F", "--n", "2000", "--p", "0.123")
@@ -334,6 +366,14 @@ class TestOracle:
         code, out, err = run_cli(capsys, "oracle", "--n", str(n), "--p", "1/3",
                                  "--event", *flags)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [("diff-missing", "--k", "30"),
+                                       ("both-sums-missing", "--i", "1", "--j", "31")],
+                             ids=lambda flags: flags[0])
+    def test_cap_comes_before_the_target_check(self, capsys, flags):
+        # the oracle runs first and caps n; only then does the graph reject the target
+        assert run_cli(capsys, "oracle", "--n", "30", "--p", "1/2", "--event", *flags) == \
+            (3, "", "resource limit: enumeration oracle capped at n <= 22, got 30\n")
 
     @pytest.mark.parametrize("flags", [("diff-missing", "--k", "1"), ("sum-missing", "--i", "1"),
                                        ("both-sums-missing", "--i", "1", "--j", "2")],
@@ -492,6 +532,51 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["config"]["n_values"] == [101, 211]
+
+    @pytest.mark.parametrize("value, n_values", [("true", [101, 211]), ("yes", [101, 211]),
+                                                 ("false", [100, 210]), ("off", [100, 210])])
+    def test_config_boolean(self, capsys, tmp_path, value, n_values):
+        # a true value is the bare flag, a false one is dropped
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"require_prime={value}\n")
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--n", "100", "210",
+                               "--p", "1/2", "--trials", "1", "--workers", "1")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["n_values"] == n_values
+        assert config["require_prime"] is (value in ("true", "yes"))
+
+    def test_config_skips_comments_and_blank_lines(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# defaults\n\n  seed=4\n   \n  # trials=9\ntrials=2\n")
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--n", "31",
+                               "--p", "1/2", "--workers", "1")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["seed"], config["trials"]) == (4, 2)
+
+    def test_config_line_without_equals_is_a_parameter_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=4\nrequire-prime\n")
+        assert run_cli(capsys, "sweep", "--config", str(cfg), "--n", "31", "--p", "1/2") == \
+            (1, "", "error: config line is not key=value: 'require-prime'\n")
+
+    def test_config_without_a_path_is_a_parameter_error(self, capsys):
+        assert run_cli(capsys, "sweep", "--n", "31", "--p", "1/2", "--config") == \
+            (1, "", "error: --config needs a path\n")
+
+    def test_failed_spot_check_exits_2(self, capsys, monkeypatch):
+        # main's AssertionError branch: a spot check that fails inside a sweep
+        # is an assertion failure, printed without a traceback
+        def off_by_one(A, residues):
+            sums, diffs = pair_counts_at(A, residues)
+            return sums + 1, diffs
+
+        pair_counts_at = experiments._pair_counts_at
+        monkeypatch.setattr(experiments, "_pair_counts_at", off_by_one)
+        assert run_cli(capsys, "sweep", "--regime", "critical", "--c", "1", "--n", "1009",
+                       "--trials", "1", "--workers", "1", "--seed", "1") == \
+            (2, "", "assertion failed: sampled pair counts off for sums (n=1009, trial=0)\n")
 
     def test_unreadable_config_is_a_parameter_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "absent.cfg"))

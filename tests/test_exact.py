@@ -8,6 +8,7 @@ import pytest
 
 from modsetlab import (
     ParameterError,
+    RegimeSpec,
     cycle_count,
     expected_missing_diffs,
     expected_missing_sums,
@@ -422,3 +423,25 @@ class TestTargets:
             theoretical_targets("critical", 100)
         with pytest.raises(ParameterError):
             theoretical_targets("glacial", 100)
+        # a sweep regime without targets is named before its parameters are checked
+        with pytest.raises(ParameterError, match=r"^unknown regime 'intermediate' "
+                                                 r"\(expected fast/critical/slow\)$"):
+            theoretical_targets("intermediate", 100)
+
+    @pytest.mark.parametrize("regime, params, message", [
+        ("fast", {"delta": 0.4}, "fast regime needs delta > 1/2"),
+        ("fast", {}, "fast regime needs delta > 1/2"),
+        ("slow", {"delta": 0.6}, "slow regime needs 0 < delta < 1/2"),
+        ("slow", {}, "slow regime needs 0 < delta < 1/2"),
+        ("critical", {"c": 0.0}, "critical regime needs c > 0"),
+        ("critical", {"c": 1.0, "delta": math.nan}, "delta must be finite, got nan"),
+    ])
+    @pytest.mark.parametrize("check", [
+        lambda regime, params: theoretical_targets(regime, 101, **params),
+        lambda regime, params: RegimeSpec(regime=regime, n_values=(101,), trials=1,
+                                          base_seed=0, **params),
+    ], ids=["theoretical_targets", "RegimeSpec"])
+    def test_one_regime_check(self, check, regime, params, message):
+        # targets and sweeps share one check, so one message and one range per rule
+        with pytest.raises(ParameterError, match=rf"^{message}$"):
+            check(regime, params)

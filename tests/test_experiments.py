@@ -57,6 +57,19 @@ class TestRegimeSpec:
             RegimeSpec(regime="fixed", n_values=(100,), trials=5, base_seed=0,
                        p_fixed=Fraction(1, 2), require_prime=True)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"regime": "intermediate"}, "intermediate regime needs gamma > 0"),
+        ({"regime": "intermediate", "gamma": 0.0}, "intermediate regime needs gamma > 0"),
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"k_max": -1}, "k_max must be >= 0"),
+        ({"workers": 0}, "workers must be >= 1"),
+    ], ids=["no-gamma", "zero-gamma", "trials", "k_max", "workers"])
+    def test_bounds(self, fields, message):
+        spec = {"regime": "fixed", "n_values": (101,), "trials": 1, "base_seed": 0,
+                "p_fixed": Fraction(1, 2), **fields}
+        with pytest.raises(ParameterError, match=rf"^{message}$"):
+            RegimeSpec(**spec)
+
     def test_require_prime_accepts_primes(self):
         spec = RegimeSpec(regime="fixed", n_values=(101, 10007), trials=1, base_seed=0,
                           p_fixed=Fraction(1, 2), require_prime=True)

@@ -9,10 +9,11 @@ import modsetlab
 
 # test references (now in tests/references.py), first-order leftovers, two
 # shape classifiers that PairGraph.components replaced, a helper that only the
-# counts use, and the one-target sum predicate that event_sums_missing covers
+# counts use, the one-target sum predicate that event_sums_missing covers, and
+# three input checks whose rules `exact._check_regime` and the pair graphs own
 REMOVED = ("oracle_mean", "_f_series_reference", "independence_event_holds",
            "gauge_g_squared_exact", "expected_x_k", "xi_counts", "classify", "Classification",
-           "binomial", "event_sum_missing")
+           "binomial", "event_sum_missing", "_check_finite", "_diff_missing", "_sums_missing")
 
 
 def test_public_surface():
@@ -32,3 +33,13 @@ def test_public_surface():
     for module in (modsetlab, *modules.values()):
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name} is still reachable"
+
+
+def test_each_input_rule_is_written_once():
+    # one owner per rule: a second copy of a check would drift from the first
+    source = "".join(path.read_text() for path in Path(modsetlab.__file__).parent.glob("*.py"))
+    for message in ("fast regime needs", "slow regime needs", "critical regime needs",
+                    "intermediate regime needs", "must be finite, got",
+                    "the two target sums must differ", "unknown kernel",
+                    "modulus must be >= 1", "outside [0, 1]"):
+        assert source.count(message) == 1, message

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from modsetlab import (
     ParameterError,
     RegimeSpec,
+    ResourceLimitError,
     ResidueSet,
     SampleSpec,
     difference_set,
@@ -21,6 +22,7 @@ from modsetlab import (
     sample_subset,
     sumset,
 )
+from modsetlab import sets
 
 
 def brute_sumset(n, members):
@@ -127,6 +129,16 @@ class TestSampling:
         with pytest.raises(ParameterError):
             SampleSpec(n=5, p=Fraction(3, 2), base_seed=1)
 
+    def test_modulus_beyond_an_array_is_a_resource_limit(self):
+        # checked before anything of size n is allocated: n uint64 draws must fit one array
+        assert SampleSpec(n=sets._MAX_MODULUS, p=Fraction(0), base_seed=1).n == sets._MAX_MODULUS
+        for make in (lambda n: SampleSpec(n=n, p=Fraction(1, 2), base_seed=1),
+                     lambda n: ResidueSet(n, 0)):
+            with pytest.raises(ResourceLimitError, match=r"^modulus n=\d+ is above "):
+                make(sets._MAX_MODULUS + 1)
+            with pytest.raises(ParameterError, match=r"^modulus must be >= 1, got 0$"):
+                make(0)
+
     def test_binomial_mean_against_reference_sampler(self):
         # mean |A| over 500 trials should sit within 3 SE of n*p, and agree
         # with a plain uniform-threshold reference sampler
@@ -161,6 +173,11 @@ class TestKernels:
         assert missing_counts(ResidueSet(7, (1 << 7) - 1)) == (0, 0)
         assert missing_counts(ResidueSet.from_indices(7, [0])) == (6, 6)
         assert missing_counts(ResidueSet.from_indices(5, [1, 2])) == (2, 2)
+
+    @pytest.mark.parametrize("op", [sumset, difference_set, missing_counts])
+    def test_unknown_kernel(self, op):
+        with pytest.raises(ParameterError, match=r"^unknown kernel 'fft'$"):
+            op(ResidueSet.from_indices(7, [1, 2]), "fft")
 
     def test_kernels_agree_on_1000_random_instances(self):
         rng = random.Random(2024)
