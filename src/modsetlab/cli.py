@@ -40,10 +40,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction(text: str) -> Fraction:
+    # argparse shows the text of an ArgumentTypeError; any other ValueError,
+    # ParameterError included, it replaces by "invalid _fraction value"
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise ParameterError(f"cannot parse probability {text!r}: {e}") from e
+        raise argparse.ArgumentTypeError(f"cannot parse probability {text!r}: {e}") from e
 
 
 def _default_seed() -> int:

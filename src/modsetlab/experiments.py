@@ -23,13 +23,12 @@ from . import exact
 from .errors import ParameterError
 from .exact import is_prime
 from .multiplicity import inclusion_exclusion_size, multiplicity_profile, x_k, y_k
-from .sets import SampleSpec, _pick_kernel, difference_set, dyadic64, sample_subset, sumset
+from .sets import _BLOCK, SampleSpec, _pick_kernel, difference_set, dyadic64, sample_subset, sumset
 
 SCHEMA_VERSION = "1"
 REGIMES = ("fast", "critical", "slow", "intermediate", "fixed")
 SPOT_CHECK_EVERY = 100  # per-trial identity check on 1% of trials
 SPOT_CHECK_RESIDUES = 256  # residues whose pair counts a sparse spot check recounts
-_RECOUNT_BLOCK = 1 << 16  # max (residue, member) index entries held at once
 
 __all__ = [
     "RegimeSpec",
@@ -205,8 +204,8 @@ def _pair_counts_at(A, residues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m_sum[r] = (#{a in A : r - a in A} + #{a in A : 2a = r}) / 2 and
     m_diff[r] = #{a in A : a - r in A}, with membership read off the bytes of
     A's bit mask.  It shares no code with the pair enumerator of `sets`, and
-    holds no length-n array: (residue, member) blocks of at most
-    _RECOUNT_BLOCK entries.
+    holds no length-n array: (residue, member) blocks of at most `sets._BLOCK`
+    entries.
     """
     n, idx = A.n, A.indices()
     packed = np.frombuffer(A.mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -218,7 +217,7 @@ def _pair_counts_at(A, residues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.count_nonzero((packed[t >> 3] >> (t & 7).astype(np.uint8)) & 1, axis=1)
 
     sums, diffs = [], []
-    step = max(1, _RECOUNT_BLOCK // max(idx.size, 1))
+    step = max(1, _BLOCK // max(idx.size, 1))
     for i in range(0, residues.size, step):
         rows = residues[i:i + step]
         diagonal = np.count_nonzero(np.equal.outer(rows, doubles), axis=1)

@@ -67,12 +67,18 @@ def _normalize_edges(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({(a, b) if a <= b else (b, a) for a, b in pairs}))
 
 
+def _check_sum_targets(targets: tuple[int, ...]) -> None:
+    """A sum graph, and so a sum event, has one or two target sums."""
+    if len(targets) not in (1, 2):
+        raise ParameterError(f"a sum graph or event needs one or two target sums, "
+                             f"got {len(targets)}")
+
+
 def build_sum_graph(n: int, *targets: int) -> PairGraph:
     """Edges {a, b} with a+b at one or two targets (mod n); a loop: 2a hits one."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if len(targets) not in (1, 2):
-        raise ParameterError("a sum graph needs one or two target sums")
+    _check_sum_targets(targets)
     if len({t % n for t in targets}) < len(targets):
         raise ParameterError("the two target sums must differ")
     return PairGraph(n, _normalize_edges((a, (s - a) % n) for s in targets for a in range(n)))
@@ -128,8 +134,7 @@ def event_diff_missing(k: int) -> Callable:
 def event_sums_missing(*targets: int) -> Callable:
     """Predicate: none of one or two target sums (as in `build_sum_graph`) is in
     A+A, i.e. A misses -A rotated by each target."""
-    if len(targets) not in (1, 2):
-        raise ParameterError("a sum event needs one or two target sums")
+    _check_sum_targets(targets)
     return lambda mask, n: (
         mask & _or_rotations(n, sum({1 << t % n for t in targets}), _neg(mask, n)) == 0)
 

@@ -22,6 +22,18 @@ holds the memo, the sparse kernel returns its support, whichever backend
 filled it; without it the kernel scatters the pairs, which is faster than
 counting them, so sweeps without x_k/y_k never build it.
 
+A sparse trial's memory scales with the set and the narrow counts, not with
+8 bytes per residue.  Beyond the n-bit mask, the sampler holds one n-byte
+array and one block of _BLOCK uint64 draws; the pair count holds one (2, n)
+buffer of `_count_dtype(|A|)`, m_sum and m_diff as its rows, and one block of
+at most _BLOCK int64 pairs (512 KB, about an L2 cache).  The one buffer is
+for the allocator as much as for the count: glibc serves a request above its
+mmap threshold (128 KB at start) by mmap and raises the threshold, and with
+it the heap's trim threshold, to the size of each such block it frees.  Two
+separate count rows at n ~ 1e6 (2 MB each) are then trimmed or unmapped and
+faulted in anew on every trial, while one buffer of twice the size stays in
+the heap from one trial to the next.
+
 Sampling is deterministic: the random stream of trial t is derived only
 from (base_seed, t), so trials can run in any order, on any number of
 workers, and reproduce bit-identically.
@@ -42,9 +54,9 @@ from .exact import _as_probability
 _WORD_BITS = 64
 _FRAC_BITS = 64          # probabilities are realized on the k / 2**64 grid
 _ONE = 1 << _FRAC_BITS
-_SPARSE_BLOCK = 1 << 22  # max unordered-pair entries held in memory at once
+_BLOCK = 1 << 16         # entries per block of draws or pairs: 512 KB of 8-byte words
 _FFT_CROSSOVER = 4       # FFT pair counts once 4 |A|^2 > L log2 L; see _use_fft
-_MAX_MODULUS = sys.maxsize // 8  # the most uint64 draws (8 bytes each) one array holds
+_MAX_MODULUS = sys.maxsize // 8  # the most int64 residues (8 bytes each) one array holds
 
 __all__ = [
     "ResidueSet",
@@ -68,12 +80,12 @@ def dyadic64(p) -> Fraction:
 
 
 def _check_modulus(n: int) -> None:
-    """Reject a modulus below 1, or too large for n uint64 draws, before any allocation."""
+    """Reject a modulus below 1, or too large for n int64 residues, before any allocation."""
     if n < 1:
         raise ParameterError(f"modulus must be >= 1, got {n}")
     if n > _MAX_MODULUS:
         raise ResourceLimitError(f"modulus n={n} is above {_MAX_MODULUS}, "
-                                 "the most uint64 draws one array holds")
+                                 "the most int64 residues one array holds")
 
 
 def _threshold64(p: Fraction) -> int:
@@ -186,7 +198,12 @@ def sample_subset(spec: SampleSpec) -> ResidueSet:
     """Sample A subseteq Z/nZ, each residue included independently with probability p.
 
     The inclusion probability is p rounded to the 2**-64 grid (exact for any
-    dyadic p with at most 64 fractional bits, e.g. 1/4, 1/2, 3/4).
+    dyadic p with at most 64 fractional bits, e.g. 1/4, 1/2, 3/4).  Residue r
+    is in A iff the r-th uint64 draw of the trial's stream is below the
+    threshold.  The draws come in blocks of _BLOCK, each compared straight
+    into one n-byte array: full-range uint64 draws take one 64-bit output of
+    the generator each, so consecutive blocks continue the stream exactly as
+    one n-long draw would, without its 8n bytes.
     """
     threshold = _threshold64(spec.p)
     if threshold <= 0:
@@ -194,11 +211,12 @@ def sample_subset(spec: SampleSpec) -> ResidueSet:
     if threshold >= _ONE:
         return ResidueSet(spec.n, (1 << spec.n) - 1)
     rng = _trial_rng(spec.base_seed, spec.trial_index)
-    u = rng.integers(0, _ONE, size=spec.n, dtype=np.uint64)
-    bits = (u < np.uint64(threshold)).astype(np.uint8)
-    # free the 8n-byte draws before the mask is built: a mask allocated above
-    # them splits the heap, and a later trial's pair counts then grow it
-    del u
+    bits = np.empty(spec.n, dtype=bool)
+    threshold = np.uint64(threshold)
+    for lo in range(0, spec.n, _BLOCK):
+        hi = min(lo + _BLOCK, spec.n)
+        np.less(rng.integers(0, _ONE, size=hi - lo, dtype=np.uint64), threshold,
+                out=bits[lo:hi])
     return ResidueSet(spec.n, _mask_from_bits(bits))
 
 
@@ -261,8 +279,8 @@ def _pair_residues(n: int, idx: np.ndarray, subtract: bool):
     the diagonal a = b: both sides are symmetric, so the other half of the
     |A|^2 ordered pairs says nothing new.
 
-    A block holds at most _SPARSE_BLOCK entries (one row of |A| if |A| is
-    larger): whole rows, then the half row of an even c as a block of its own.
+    A block holds at most _BLOCK entries (one row of |A| if |A| is larger):
+    whole rows, then the half row of an even c as a block of its own.
     """
     c = idx.size
     if c < 2:
@@ -271,7 +289,7 @@ def _pair_residues(n: int, idx: np.ndarray, subtract: bool):
     doubled = np.concatenate((idx, idx + n if subtract else idx))
     windows = np.lib.stride_tricks.sliding_window_view(doubled, c)
     op = np.subtract if subtract else np.add
-    step = max(1, _SPARSE_BLOCK // c)
+    step = max(1, _BLOCK // c)
     for s in range(1, rows + 1, step):
         yield _wrap(op(windows[s:min(s + step, rows + 1)], idx).ravel(), n, subtract)
     if c % 2 == 0:
@@ -294,19 +312,19 @@ def _count_dtype(c: int) -> np.dtype:
     return np.min_scalar_type(max(c, 1))
 
 
-def _pair_bincount(n: int, idx: np.ndarray, subtract: bool) -> np.ndarray:
-    """Counts of every residue over the unordered pairs {a, b} of idx, a != b.
+def _pair_bincount(m: np.ndarray, idx: np.ndarray, subtract: bool) -> np.ndarray:
+    """Add to m (length n) the count of every residue over the pairs {a, b} of idx, a != b.
 
     Sums count #{a, b} with a + b = r; differences count the one-sided b - a
     of `_pair_residues`, which `_mirror` folds with its negation.  Each block
-    is counted in place by np.add.at into one array of `_count_dtype(|idx|)`;
-    the added one has that dtype too, which keeps numpy on its fast ufunc.at
-    loop (numpy >= 1.25).
+    is counted in place by np.add.at into m, of `_count_dtype(|idx|)`; the
+    added one has that dtype too, which keeps numpy on its fast ufunc.at loop
+    (numpy >= 1.25).
     """
-    m = np.zeros(n, dtype=_count_dtype(idx.size))
     one = m.dtype.type(1)
-    for t in _pair_residues(n, idx, subtract):
+    for t in _pair_residues(m.size, idx, subtract):
         np.add.at(m, t, one)
+        del t  # else the loop holds this block while the next is built
     return m
 
 
@@ -337,13 +355,16 @@ def _unordered_sums(n: int, idx: np.ndarray, ordered_sum: np.ndarray) -> np.ndar
 def _pair_multiplicities(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m_sum, m_diff) by an exact count of each unordered pair once, in `_count_dtype(|A|)`.
 
-    m_sum adds the |A| diagonal sums 2a by np.add.at (a and a + n/2 both at
-    even n).  m_diff[r] = cnt[r] + cnt[n - r]: the pair with b - a = n/2 at
-    even n stands for both orders, and difference 0 is the |A| pairs (a, a).
+    Both are rows of one (2, n) buffer, allocated once and zeroed: see the
+    module docstring for why one buffer and not two.  m_sum adds the |A|
+    diagonal sums 2a by np.add.at (a and a + n/2 both at even n).  m_diff[r]
+    = cnt[r] + cnt[n - r]: the pair with b - a = n/2 at even n stands for
+    both orders, and difference 0 is the |A| pairs (a, a).
     """
-    m_sum = _pair_bincount(n, idx, subtract=False)
+    m_sum, m_diff = np.zeros((2, n), dtype=_count_dtype(idx.size))
+    _pair_bincount(m_sum, idx, subtract=False)
     np.add.at(m_sum, (2 * idx) % n, m_sum.dtype.type(1))
-    m_diff = _mirror(_pair_bincount(n, idx, subtract=True), np.add)
+    _mirror(_pair_bincount(m_diff, idx, subtract=True), np.add)
     if n % 2 == 0:
         m_diff[n // 2] *= 2
     m_diff[0] = idx.size
@@ -426,6 +447,7 @@ def _pair_table_mask(A: ResidueSet, subtract: bool) -> int:
     bits = np.zeros(n, dtype=np.uint8)
     for t in _pair_residues(n, idx, subtract):
         bits[t] = 1
+        del t  # one block at a time, as in `_pair_bincount`
     if subtract:
         _mirror(bits, np.bitwise_or)
         bits[0] = idx.size > 0

@@ -172,9 +172,9 @@ class TestTrials:
         with pytest.raises(AssertionError, match=f"sampled pair counts off for {kind}"):
             run_trial(n, p, 5, 0, k_max=3)
 
-    @pytest.mark.parametrize("block", [1, 7, experiments._RECOUNT_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, experiments._BLOCK])
     def test_pair_counts_at_sampled_residues(self, monkeypatch, block):
-        monkeypatch.setattr(experiments, "_RECOUNT_BLOCK", block)
+        monkeypatch.setattr(experiments, "_BLOCK", block)
         rng = np.random.default_rng(block)
         for n in (1, 2, 12, 13, 97, 256, 10007):
             for members in ([], [n - 1], range(n), range(0, n, 2),

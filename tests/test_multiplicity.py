@@ -115,7 +115,7 @@ class TestBackends:
         # both sparse kernels read the shared pair enumerator, which yields
         # each unordered pair {a, b}, a != b, once; a small block splits every
         # nontrivial set into several
-        monkeypatch.setattr(sets, "_SPARSE_BLOCK", block)
+        monkeypatch.setattr(sets, "_BLOCK", block)
         rng = random.Random(block)
 
         def folded(counts, n):
@@ -133,8 +133,9 @@ class TestBackends:
                 pairs = list(itertools.combinations(members, 2))
                 sums = Counter((a + b) % n for a, b in pairs)
                 diffs = Counter((a - b) % n for a, b in pairs)
-                pair_sums = sets._pair_bincount(n, idx, subtract=False)
-                pair_diffs = sets._pair_bincount(n, idx, subtract=True)
+                dtype = sets._count_dtype(idx.size)
+                pair_sums = sets._pair_bincount(np.zeros(n, dtype), idx, subtract=False)
+                pair_diffs = sets._pair_bincount(np.zeros(n, dtype), idx, subtract=True)
                 assert pair_sums.tolist() == [sums[r] for r in range(n)]
                 assert folded(pair_diffs.tolist(), n) == folded([diffs[r] for r in range(n)], n)
                 all_sums = Counter((a + b) % n for a in members for b in members)
@@ -232,7 +233,7 @@ class TestProfileBruteForce:
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_sparse_accumulator_over_many_blocks(self, monkeypatch, block):
-        monkeypatch.setattr(sets, "_SPARSE_BLOCK", block)
+        monkeypatch.setattr(sets, "_BLOCK", block)
         monkeypatch.setattr(sets, "_use_fft", lambda c, n: False)
         rng = random.Random(block)
         for n in (1, 2, 12, 13, 40, 97):

@@ -9,11 +9,13 @@ import modsetlab
 
 # test references (now in tests/references.py), first-order leftovers, two
 # shape classifiers that PairGraph.components replaced, a helper that only the
-# counts use, the one-target sum predicate that event_sums_missing covers, and
-# three input checks whose rules `exact._check_regime` and the pair graphs own
+# counts use, the one-target sum predicate that event_sums_missing covers,
+# three input checks whose rules `exact._check_regime` and the pair graphs own,
+# and two block sizes that `sets._BLOCK` replaced
 REMOVED = ("oracle_mean", "_f_series_reference", "independence_event_holds",
            "gauge_g_squared_exact", "expected_x_k", "xi_counts", "classify", "Classification",
-           "binomial", "event_sum_missing", "_check_finite", "_diff_missing", "_sums_missing")
+           "binomial", "event_sum_missing", "_check_finite", "_diff_missing", "_sums_missing",
+           "_SPARSE_BLOCK", "_RECOUNT_BLOCK")
 
 
 def test_public_surface():
@@ -40,6 +42,7 @@ def test_each_input_rule_is_written_once():
     source = "".join(path.read_text() for path in Path(modsetlab.__file__).parent.glob("*.py"))
     for message in ("fast regime needs", "slow regime needs", "critical regime needs",
                     "intermediate regime needs", "must be finite, got",
-                    "the two target sums must differ", "unknown kernel",
+                    "the two target sums must differ", "needs one or two target sums",
+                    "cannot parse probability", "unknown kernel",
                     "modulus must be >= 1", "outside [0, 1]"):
         assert source.count(message) == 1, message

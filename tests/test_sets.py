@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestSampling:
             SampleSpec(n=5, p=Fraction(3, 2), base_seed=1)
 
     def test_modulus_beyond_an_array_is_a_resource_limit(self):
-        # checked before anything of size n is allocated: n uint64 draws must fit one array
+        # checked before anything of size n is allocated: n int64 residues must fit one array
         assert SampleSpec(n=sets._MAX_MODULUS, p=Fraction(0), base_seed=1).n == sets._MAX_MODULUS
         for make in (lambda n: SampleSpec(n=n, p=Fraction(1, 2), base_seed=1),
                      lambda n: ResidueSet(n, 0)):
@@ -138,6 +139,22 @@ class TestSampling:
                 make(sets._MAX_MODULUS + 1)
             with pytest.raises(ParameterError, match=r"^modulus must be >= 1, got 0$"):
                 make(0)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 7), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["1", "7", "B-1", "B", "B+1", "3B+5"])
+    def test_streamed_draws_equal_one_draw_of_n(self, blocks, extra):
+        # the sampler draws in blocks of B; A must be the set that one draw of
+        # n uint64 words, compared with the threshold, gives
+        n = blocks * sets._BLOCK + extra
+        for p in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 2 ** 10),
+                  dyadic64(n ** -0.5)):
+            for t in (0, 3):
+                threshold = p.numerator * 2 ** 64 // p.denominator  # p is dyadic
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((42, t))))
+                u = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+                ref = np.ones(n, bool) if threshold == 2 ** 64 else u < np.uint64(threshold)
+                A = sample_subset(SampleSpec(n=n, p=p, base_seed=42, trial_index=t))
+                assert A.indices().tolist() == np.flatnonzero(ref).tolist(), (p, t)
 
     def test_binomial_mean_against_reference_sampler(self):
         # mean |A| over 500 trials should sit within 3 SE of n*p, and agree
@@ -229,3 +246,34 @@ class TestKernels:
         assert set(S) == brute_sumset(n, members) and S.cardinality < n
         assert set(D) == brute_diffset(n, members) and D.cardinality < n
         assert S == sumset(A, "sparse") and D == difference_set(A, "sparse")
+
+
+def traced_peak(f, *args):
+    """Bytes of the peak tracemalloc reading above the start, during f(*args)."""
+    f(*args)  # warm: first-call caches are not the call's memory
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrialMemory:
+    """A trial's transient memory scales with its set and narrow counts, not with 8n."""
+
+    N = 1 << 20
+
+    def test_sampler_holds_no_draws_of_n_words(self):
+        # one n-byte array, one block of draws, and the mask's bytes and int
+        spec = SampleSpec(n=self.N, p=dyadic64(self.N ** -0.5), base_seed=1)
+        assert traced_peak(sample_subset, spec) < 3 * self.N
+
+    def test_pair_count_holds_one_count_buffer_and_one_block(self):
+        # m_sum and m_diff, of the narrow count dtype, plus one pair block
+        spec = SampleSpec(n=self.N, p=dyadic64(self.N ** -0.5), base_seed=1)
+        idx = sample_subset(spec).indices()
+        itemsize = sets._count_dtype(idx.size).itemsize
+        assert itemsize == 2
+        peak = traced_peak(sets._pair_multiplicities, self.N, idx)
+        assert peak < 2 * self.N * itemsize + (1 << 20)
