@@ -55,6 +55,12 @@ def main():
             for n in (2 ** 20, 2 ** 24)]
     print(f"delta = 0.4 turns over only near n ~ 7.6e5: log(n^3 F) goes "
           f"{turn[0]:.1f} -> {turn[1]:.1f} between n = 2^20 and 2^24")
+    n = 30011
+    q = dyadic64(n ** -0.5)  # a numerator of about 64 n = 1.9M bits, built by FFT products
+    big = f_series(n, q)
+    print(f"F({n}, 2^-64 grid) exactly: log F = "
+          f"{math.log(big.numerator) - math.log(big.denominator):.9f}, "
+          f"log-domain form {f_series_log(n, q):.9f}")
 
     print("\n== decay gauges at n = 10007 ==")
     n = 10007

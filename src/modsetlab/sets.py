@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .exact import _as_probability
+from .exact import _as_probability, _rounded
 
 _WORD_BITS = 64
 _FRAC_BITS = 64          # probabilities are realized on the k / 2**64 grid
@@ -421,17 +421,6 @@ def _pair_counts_fft(A: ResidueSet) -> tuple[np.ndarray, np.ndarray] | None:
         dtype = _count_dtype(c)
         return _unordered_sums(n, idx, ordered_sum).astype(dtype), m_diff.astype(dtype)
     return None
-
-
-def _rounded(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """x rounded to int64, and whether every entry was within 1/4 of an integer.
-
-    Overwrites x.
-    """
-    counts = np.rint(x)
-    x -= counts
-    exact = bool(np.abs(x, out=x).max() < 0.25)
-    return counts.astype(np.int64), exact
 
 
 def _pair_table_mask(A: ResidueSet, subtract: bool) -> int:

@@ -1,9 +1,12 @@
 """Closed-form counts and probabilities against brute force and frozen values."""
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modsetlab import (
@@ -28,7 +31,8 @@ from modsetlab import (
     event_diff_missing,
     event_sums_missing,
 )
-from modsetlab.exact import _lucas_u, _over_power, f_series_log
+from modsetlab import exact, sets
+from modsetlab.exact import _FFT_MIN_BITS, _lucas_u, _mul, _over_power, _pow, f_series_log
 from modsetlab.sets import dyadic64
 from references import (
     expected_missing_sums_reference,
@@ -186,6 +190,135 @@ class TestLucasPrimitive:
                 for value in (f_series(n, p), prob_diff_missing(n, p),
                               prob_both_sums_missing(n, p)):
                     assert value.denominator == 1 and value in (0, 1)
+
+
+# the largest operand with 16-bit limbs: ceil(bits / 16) 2^32 reaches 2^46 there
+LIMB_SWITCH_BITS = 16 << 14
+
+
+def odd_operand(bits, seed):
+    """A random odd integer of exactly `bits` bits."""
+    x = int.from_bytes(np.random.default_rng(seed).bytes(-(-bits // 8)), "little")
+    return x >> (-bits % 8) | 1 << (bits - 1) | 1
+
+
+class TestProductKernel:
+    """`_mul` equals `*` everywhere; the FFT path is spied on, so each case
+    asserts which path and which limb width it took."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        seen = []
+        limbs = exact._limbs
+        monkeypatch.setattr(exact, "_limbs", lambda x, w: seen.append(w) or limbs(x, w))
+        return seen
+
+    @pytest.mark.parametrize("bits,width", [
+        (_FFT_MIN_BITS - 1, None), (_FFT_MIN_BITS, 16), (_FFT_MIN_BITS + 1, 16),
+        (LIMB_SWITCH_BITS, 16), (LIMB_SWITCH_BITS + 1, 8), (LIMB_SWITCH_BITS + 17, 8)])
+    def test_equals_builtin_product(self, widths, bits, width):
+        x, y = odd_operand(bits, 1), odd_operand(bits + 5, 2)
+        assert x.bit_length() == bits
+        assert _mul(x, y) == x * y and _mul(y, x) == x * y
+        assert _mul(x, x) == x * x
+        assert widths == ([] if width is None else [width] * 5)
+        if width:  # the FFT itself is exact here, not rescued by the fallback
+            assert exact._fft_product(x, y) == x * y and exact._fft_product(x, x) == x * x
+
+    @pytest.mark.parametrize("k", [_FFT_MIN_BITS + 3, 100_000, LIMB_SWITCH_BITS + 1])
+    def test_powers_of_two_and_their_neighbours(self, k):
+        values = ((1 << k) - 1, 1 << k, (1 << k) + 1)
+        for x in values:
+            for y in values:
+                assert _mul(x, y) == x * y
+            assert _mul(x, x) == x * x
+
+    def test_unbalanced_operands(self):
+        x, y = odd_operand(_FFT_MIN_BITS, 3), odd_operand(20 * _FFT_MIN_BITS, 4)
+        short = odd_operand(_FFT_MIN_BITS - 1, 5)
+        assert _mul(x, y) == x * y and _mul(y, short) == y * short
+
+    def test_square_takes_one_transform(self, monkeypatch):
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        x = odd_operand(3 * _FFT_MIN_BITS, 6)
+        assert _mul(x, x) == x * x and len(calls) == 1
+        y = x + 2
+        assert _mul(x, y) == x * y and len(calls) == 3
+
+    def test_small_or_non_positive_operands_use_builtin(self, monkeypatch):
+        def no_fft(x, y):
+            raise AssertionError("reached the FFT")
+
+        monkeypatch.setattr(exact, "_fft_product", no_fft)
+        big = odd_operand(2 * _FFT_MIN_BITS, 7)
+        for x in (0, 1, -1, 2 ** 64 - 1, -big, -(big << 3)):
+            assert _mul(x, big) == x * big and _mul(big, x) == big * x
+        assert _mul(-big, -big) == big * big
+
+    @pytest.mark.parametrize("noise", ["rounding", "whole coefficient"])
+    def test_inexact_fft_falls_back_to_builtin_product(self, monkeypatch, noise):
+        x, y = odd_operand(2 * _FFT_MIN_BITS, 8), odd_operand(2 * _FFT_MIN_BITS, 9)
+        irfft = np.fft.irfft
+
+        def noisy_irfft(*args, **kwargs):
+            z = irfft(*args, **kwargs)
+            # 0.3 fails the distance-to-integer check; a whole 1.0 passes it
+            # and fails the check modulo 2^61 - 1
+            z[3] += 0.3 if noise == "rounding" else 1.0
+            return z
+
+        monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
+        fft = exact._fft_product(x, y)
+        assert fft is None if noise == "rounding" else fft == x * y + (1 << 48)
+        assert _mul(x, y) == x * y
+        assert _mul(x, x) == x * x
+
+    def test_one_rounding_rule(self):
+        # the FFT product and the FFT pair counts accept a float result by one rule
+        assert sets._rounded is exact._rounded
+        source = "".join(p.read_text() for p in Path(exact.__file__).parent.glob("*.py"))
+        assert source.count("def _rounded") == 1 and source.count("< 0.25") == 1
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, 10, 1023, 1024, 5005])
+    def test_pow_equals_builtin_power(self, e):
+        for x in (0, 1, 3, 2 ** 64 - 1, odd_operand(40_000, 10)):
+            if x.bit_length() * e <= 3_000_000:
+                assert _pow(x, e) == x ** e
+
+
+def identity_values(n):
+    """The named closed forms and a mixed component list at n, p = dyadic64(n^-1/2)."""
+    p = dyadic64(n ** -0.5)
+    mixed = [("cycle", n // 3, 0, 2), ("path", n // 4, 1, 1), ("path", n // 5, 2, 1),
+             ("path", n // 6, 0, 1), ("cycle", 7, 0, 3), ("path", 2, 0, n // 2)]
+    return (f_series(n, p), prob_diff_missing(n, p), prob_both_sums_missing(n, p),
+            prob_diff_missing_composite(n + n % 2, 2, p), independence_probability(mixed, p))
+
+
+class TestFFTProductIdentity:
+    """Every value through the FFT product is the Fraction of the builtin one."""
+
+    @pytest.mark.parametrize("n", [2003, 8002, 30011])
+    def test_closed_forms_are_fraction_identical(self, monkeypatch, n):
+        products = []
+        fft_product = exact._fft_product
+        monkeypatch.setattr(exact, "_fft_product",
+                            lambda x, y: products.append(1) or fft_product(x, y))
+        got = identity_values(n)
+        assert products  # the FFT carried some products, or this compares nothing
+        monkeypatch.setattr(exact, "_mul", operator.mul)
+        want = identity_values(n)
+        for g, w in zip(got, want):
+            assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+
+    def test_dense_half_report_stays_below_the_fft(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("reached the FFT")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        assert expected_missing_sums(20021, Fraction(1, 2)) > 0
 
 
 def path(m, loops, count=1):
