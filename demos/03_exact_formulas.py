@@ -61,6 +61,12 @@ def main():
     print(f"F({n}, 2^-64 grid) exactly: log F = "
           f"{math.log(big.numerator) - math.log(big.denominator):.9f}, "
           f"log-domain form {f_series_log(n, q):.9f}")
+    n, b = 8002, 2 ** 64 - 59  # an odd prime b: _over_power strips gcd(num, b), no gcd with b^n
+    q = Fraction(round(b * n ** -0.5), b)
+    odd = f_series(n, q)
+    print(f"F({n}, 1/(2^64-59) grid) exactly: log F = "
+          f"{math.log(odd.numerator) - math.log(odd.denominator):.9f}, "
+          f"log-domain form {f_series_log(n, q):.9f}")
 
     print("\n== decay gauges at n = 10007 ==")
     n = 10007

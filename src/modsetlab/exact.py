@@ -11,19 +11,19 @@ for a decay regime's parameters, which sweeps and `theoretical_targets` share.
 Every missing-target event is "A is independent in a pair graph" of
 loop-ended paths and cycles, and `independence_probability` weighs its
 component list: one Lucas-sequence value (`_lucas_u`) per distinct component,
-divided by b^n once (`_over_power`, gcd-free for dyadic p).  The named forms
-are the engine on their graph, save the per-cycle-nonempty composite form.
+divided by b^n once (`_over_power`, a shift and a gcd with b alone, at any p).
+The named forms are the engine on their graph, save the composite form.
 
 The Lucas values run to about 64 n bits, so every big product of the engine,
 and every power (`_pow`), goes through one kernel, `_mul`.  Below
 `_FFT_MIN_BITS`, or for an operand <= 0, it is x * y; above, one float
-rfft/irfft pair convolves the 16-bit limbs (8-bit once a coefficient could
-pass 2^46), and the rebuilt integer is returned only if it passes two checks:
-every coefficient within 1/4 of an integer (`_rounded`, the rule that
-`sets._pair_counts_fft` shares) and the product equal to x y modulo 2^61 - 1.
-Otherwise the kernel returns x * y, so every value stays exact.  F(8002) takes
-10 ms where Karatsuba took 26, and `prob_diff_missing` at n = 100003 0.56 s
-where it took 3.2 (BENCH_20.json).
+rfft/irfft pair convolves the balanced 16-bit digits, at every size, and the
+rebuilt integer is returned only if it passes two checks: every coefficient
+within 1/4 of an integer (`_rounded`, the rule that `sets._pair_counts_fft`
+shares) and the product equal to x y modulo 2^61 - 1.  Otherwise the kernel
+returns x * y, so every value stays exact.  F(8002) takes 10 ms where
+Karatsuba took 26, and `prob_diff_missing` at n = 100003 0.56 s where it took
+3.2 (BENCH_20.json).
 """
 
 from __future__ import annotations
@@ -166,10 +166,9 @@ def _rounded(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return counts.astype(np.int64), exact
 
 
-_FFT_MIN_BITS = 32_000            # FFT products once both factors are this long; see _mul
-_FFT_MAX_COEFFICIENT = 1 << 46    # 16-bit limbs while no product coefficient can pass it
-_FIELD_BITS = 48                  # one rebuilt coefficient's field: above 2^46, below 2^53
-_M61 = (1 << 61) - 1              # the modulus of the product's final check
+_FFT_MIN_BITS = 32_000    # FFT products once both factors are this long; see _mul
+_BIAS = 1 << 62           # lifts each signed product coefficient into an unsigned int64 field
+_M61 = (1 << 61) - 1      # the modulus of the product's final check
 
 
 def _mul(x: int, y: int) -> int:
@@ -196,15 +195,13 @@ def _mul(x: int, y: int) -> int:
 def _fft_product(x: int, y: int) -> int | None:
     """x * y from one rfft/irfft convolution of their limbs, or None if inexact.
 
-    Limbs are 16 bits wide while min(limbs) (2^16 - 1)^2, the largest
-    coefficient the product can have, stays below _FFT_MAX_COEFFICIENT, and
-    8 bits beyond it, so the float error stays far below 1/4 (about 0.03 at
-    2^46, all limbs 2^16 - 1).  A square (y is x) takes one transform.
+    The limbs are balanced 16-bit digits, in [-2^15, 2^15), so at every size the
+    float error stays far below 1/4 (4e-4 on random 6.4M-bit operands, where
+    unsigned digits reach 0.25; Crandall and Fagin, Math. Comp. 1994).  A
+    square (y is x) takes one transform.
     """
-    limbs = -(-min(x.bit_length(), y.bit_length()) // 16)
-    w = 16 if limbs << 32 <= _FFT_MAX_COEFFICIENT else 8
-    a = _limbs(x, w)
-    b = None if y is x else _limbs(y, w)
+    a = _limbs(x)
+    b = None if y is x else _limbs(y)
     size = a.size + (a.size if b is None else b.size) - 1
     length = _fast_length(size)
     spectrum = np.fft.rfft(a, length)
@@ -213,13 +210,16 @@ def _fft_product(x: int, y: int) -> int | None:
     del b
     coefficients, exact = _rounded(np.fft.irfft(spectrum, length)[:size])
     del spectrum
-    return _from_coefficients(coefficients, w) if exact else None
+    return _from_coefficients(coefficients) if exact else None
 
 
-def _limbs(x: int, w: int) -> np.ndarray:
-    """The base-2^w digits of x >= 0, least significant first, as float64."""
-    digits = x.to_bytes(-(-x.bit_length() // w) * (w // 8), "little")
-    return np.frombuffer(digits, "<u2" if w == 16 else "u1").astype(np.float64)
+def _limbs(x: int) -> np.ndarray:
+    """The balanced base-2^16 digits of x >= 0, in [-2^15, 2^15), least first, as
+    float64: the limbs of x + half, half = sum_j 2^15 2^(16 j), less 2^15 each,
+    which flipping each limb's top bit reads as int16.  k keeps a guard bit."""
+    k = (x.bit_length() + 17) // 16
+    half = int.from_bytes(b"\x00\x80" * k, "little")
+    return np.frombuffer(((x + half) ^ half).to_bytes(2 * k, "little"), "<i2").astype(np.float64)
 
 
 def _fast_length(size: int) -> int:
@@ -229,18 +229,17 @@ def _fast_length(size: int) -> int:
     return min(m * unit for m in (5, 6, 8) if m * unit >= size)
 
 
-def _from_coefficients(c: np.ndarray, w: int) -> int:
-    """sum_j c_j 2^(w j) for 0 <= c_j < 2^_FIELD_BITS.
+def _from_coefficients(c: np.ndarray) -> int:
+    """sum_j c_j 2^(16 j) for |c_j| < _BIAS.
 
-    The coefficients with j = r mod s (s = _FIELD_BITS / w) do not overlap, so
-    each residue r packs into one integer of _FIELD_BITS-bit fields, shifted
-    by w r: s calls of int.from_bytes and s - 1 additions.
+    The 64-bit fields c_j + _BIAS with j = r mod 4 do not overlap, so each
+    residue r packs into one integer, shifted by 16 r; the bias comes off once.
     """
-    s = _FIELD_BITS // w
-    fields = np.zeros(-(-c.size // s) * s, "<i8")
-    fields[:c.size] = c
-    octets = fields.view(np.uint8).reshape(-1, s, 8)[:, :, :_FIELD_BITS // 8]
-    return sum(int.from_bytes(octets[:, r].tobytes(), "little") << (w * r) for r in range(s))
+    fields = np.zeros(-(-c.size // 4) * 4, "<i8")
+    np.add(c, _BIAS, out=fields[:c.size])
+    total = sum(int.from_bytes(fields.reshape(-1, 4)[:, r].tobytes(), "little") << (16 * r)
+                for r in range(4))
+    return total - (int.from_bytes(b"\x01\x00" * c.size, "little") << 62)  # times _BIAS
 
 
 def _pow(x: int, e: int) -> int:
@@ -282,13 +281,18 @@ _coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
 
 
 def _over_power(num: int, b: int, n: int) -> Fraction:
-    """num / b^n, reduced.  For b a power of two (p on the sampler's 2^-64
-    grid) that only strips common factors of two: no gcd with b^n."""
-    if b & (b - 1) or num == 0:
-        return Fraction(num, b ** n)
-    e = (b.bit_length() - 1) * n  # b^n = 2^e
-    shift = min((num & -num).bit_length() - 1, e)
-    return _coprime_fraction(num >> shift, 1 << (e - shift))
+    """num / b^n, reduced with no gcd against b^n: for b = 2^k o, o odd, a shift
+    takes the twos, and gcd(num, o), then gcd(num, g^2) for the last divisor g,
+    strips the rest while it shares a factor with what is left of o^n, so no
+    prime comes off num more often than b^n holds it."""
+    if num == 0:
+        return Fraction(0)
+    k = (b & -b).bit_length() - 1
+    o, twos = b >> k, min((num & -num).bit_length() - 1, k * n)
+    num, den, f = num >> twos, _pow(o, n), o
+    while f > 1 and (g := math.gcd(math.gcd(num, f), den)) > 1:
+        num, den, f = num // g, den // g, g * g  # g holds every prime still shared
+    return _coprime_fraction(num, den << (k * n - twos))
 
 
 def independence_probability(components, p) -> Fraction:

@@ -175,14 +175,18 @@ class TestLucasPrimitive:
             assert lucas(n) == a
             a, b = b, a + b
 
-    @pytest.mark.parametrize("b", [1, 2, 4, 2 ** 64, 3, 6, 10])
+    @pytest.mark.parametrize("b", [1, 2, 4, 2 ** 64, 3, 6, 10, 12, 2 ** 64 - 59])
     def test_over_power_is_reduced_fraction(self, b):
-        for n in (0, 1, 5, 37):
-            for num in (0, 1, 2, 3, 12, 2 ** 70, 3 ** 50, 2 ** 300 * 5, b ** n, 7 * b ** n):
+        for n in (0, 1, 5, 37, 200):
+            for num in (0, 1, 2, 3, 12, 2 ** 70, 3 ** 50, 2 ** 300 * 5, b ** n, 7 * b ** n,
+                        2 ** (3 * n), 35 * 6 ** n):
                 got = _over_power(num, b, n)
                 want = Fraction(num, b ** n)
                 assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
                 assert got == want and hash(got) == hash(want)
+        # 6^n holds n twos: the shift must stop there and leave 3^n whole
+        got = _over_power(2 ** 600, 6, 200)
+        assert (got.numerator, got.denominator) == (2 ** 400, 3 ** 200)
 
     def test_endpoint_probabilities_reduce(self):
         for n in (2, 3, 10, 61):
@@ -192,46 +196,70 @@ class TestLucasPrimitive:
                     assert value.denominator == 1 and value in (0, 1)
 
 
-# the largest operand with 16-bit limbs: ceil(bits / 16) 2^32 reaches 2^46 there
-LIMB_SWITCH_BITS = 16 << 14
-
-
 def odd_operand(bits, seed):
     """A random odd integer of exactly `bits` bits."""
     x = int.from_bytes(np.random.default_rng(seed).bytes(-(-bits // 8)), "little")
     return x >> (-bits % 8) | 1 << (bits - 1) | 1
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Whether each `_fft_product` call came back exact (not None)."""
+    seen = []
+    fft_product = exact._fft_product
+
+    def spy(x, y):
+        z = fft_product(x, y)
+        seen.append(z is not None)
+        return z
+
+    monkeypatch.setattr(exact, "_fft_product", spy)
+    return seen
+
+
 class TestProductKernel:
-    """`_mul` equals `*` everywhere; the FFT path is spied on, so each case
-    asserts which path and which limb width it took."""
+    """`_mul` equals `*` everywhere, and on random operands the FFT itself is
+    exact at every size, with one limb layout: no case leans on the fallback."""
 
-    @pytest.fixture
-    def widths(self, monkeypatch):
-        seen = []
-        limbs = exact._limbs
-        monkeypatch.setattr(exact, "_limbs", lambda x, w: seen.append(w) or limbs(x, w))
-        return seen
-
-    @pytest.mark.parametrize("bits,width", [
-        (_FFT_MIN_BITS - 1, None), (_FFT_MIN_BITS, 16), (_FFT_MIN_BITS + 1, 16),
-        (LIMB_SWITCH_BITS, 16), (LIMB_SWITCH_BITS + 1, 8), (LIMB_SWITCH_BITS + 17, 8)])
-    def test_equals_builtin_product(self, widths, bits, width):
+    @pytest.mark.parametrize("bits", [
+        _FFT_MIN_BITS - 1, _FFT_MIN_BITS, _FFT_MIN_BITS + 1,
+        262_143, 262_144, 262_145, 262_161, 1_000_000, 6_400_000])
+    def test_equals_builtin_product(self, products, bits):
         x, y = odd_operand(bits, 1), odd_operand(bits + 5, 2)
+        xy, xx = x * y, x * x
         assert x.bit_length() == bits
-        assert _mul(x, y) == x * y and _mul(y, x) == x * y
-        assert _mul(x, x) == x * x
-        assert widths == ([] if width is None else [width] * 5)
-        if width:  # the FFT itself is exact here, not rescued by the fallback
-            assert exact._fft_product(x, y) == x * y and exact._fft_product(x, x) == x * x
+        assert _mul(x, y) == xy and _mul(y, x) == xy and _mul(x, x) == xx
+        assert products == ([] if bits < _FFT_MIN_BITS else [True] * 3)
+        if products:  # the FFT itself is exact here, not rescued by the fallback
+            assert exact._fft_product(x, y) == xy and exact._fft_product(x, x) == xx
 
-    @pytest.mark.parametrize("k", [_FFT_MIN_BITS + 3, 100_000, LIMB_SWITCH_BITS + 1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 2001, 1 << 14, 62_500])
+    def test_top_digit_has_a_guard(self, k):
+        # 2^(16k-1) - 1 plus half = sum_j 2^15 2^(16j) passes 2^(16k), so
+        # k balanced digits cannot hold it; nor any bit length = 15 mod 16
+        for x in ((1 << 16 * k - 1) - 1, odd_operand(16 * k - 1, k)):
+            y = x + 2
+            assert exact._fft_product(x, x) == x * x
+            assert exact._fft_product(x, y) == x * y
+
+    @pytest.mark.parametrize("k", [_FFT_MIN_BITS + 3, 100_000, 262_145])
     def test_powers_of_two_and_their_neighbours(self, k):
         values = ((1 << k) - 1, 1 << k, (1 << k) + 1)
         for x in values:
             for y in values:
                 assert _mul(x, y) == x * y
             assert _mul(x, x) == x * x
+
+    @pytest.mark.parametrize("m", [1 << 14, 400_000])
+    def test_digits_all_at_minus_half(self, m):
+        # m digits of -2^15 under a top digit 1, the worst case of the layout:
+        # every product coefficient of x^2 has one sign, so the float error
+        # adds up.  The FFT was exact up to 4M bits (m = 250000), but at 6.4M
+        # bits its checks can reject the result, so this asserts only that
+        # `_mul`, with its fallback, stays exact.
+        x = (1 << 16 * m) - int.from_bytes(b"\x00\x80" * m, "little")
+        assert (exact._limbs(x)[:-1] == -(1 << 15)).all()
+        assert _mul(x, x) == x * x
 
     def test_unbalanced_operands(self):
         x, y = odd_operand(_FFT_MIN_BITS, 3), odd_operand(20 * _FFT_MIN_BITS, 4)
@@ -288,30 +316,41 @@ class TestProductKernel:
                 assert _pow(x, e) == x ** e
 
 
-def identity_values(n):
-    """The named closed forms and a mixed component list at n, p = dyadic64(n^-1/2)."""
-    p = dyadic64(n ** -0.5)
+def identity_values(n, p):
+    """The named closed forms and a mixed component list at n and p."""
     mixed = [("cycle", n // 3, 0, 2), ("path", n // 4, 1, 1), ("path", n // 5, 2, 1),
              ("path", n // 6, 0, 1), ("cycle", 7, 0, 3), ("path", 2, 0, n // 2)]
     return (f_series(n, p), prob_diff_missing(n, p), prob_both_sums_missing(n, p),
             prob_diff_missing_composite(n + n % 2, 2, p), independence_probability(mixed, p))
 
 
+def assert_identical(monkeypatch, products, n, p, references):
+    """The values at (n, p) equal those with each (name, function) of
+    `references` patched into `exact`; and no FFT product fell back."""
+    got = identity_values(n, p)
+    assert products and all(products)  # the FFT carried them, exact each time
+    for name, function in references:
+        monkeypatch.setattr(exact, name, function)
+    want = identity_values(n, p)
+    for g, w in zip(got, want):
+        assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+
+
 class TestFFTProductIdentity:
     """Every value through the FFT product is the Fraction of the builtin one."""
 
     @pytest.mark.parametrize("n", [2003, 8002, 30011])
-    def test_closed_forms_are_fraction_identical(self, monkeypatch, n):
-        products = []
-        fft_product = exact._fft_product
-        monkeypatch.setattr(exact, "_fft_product",
-                            lambda x, y: products.append(1) or fft_product(x, y))
-        got = identity_values(n)
-        assert products  # the FFT carried some products, or this compares nothing
-        monkeypatch.setattr(exact, "_mul", operator.mul)
-        want = identity_values(n)
-        for g, w in zip(got, want):
-            assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+    def test_closed_forms_are_fraction_identical(self, monkeypatch, products, n):
+        assert_identical(monkeypatch, products, n, dyadic64(n ** -0.5),
+                         [("_mul", operator.mul)])
+
+    def test_closed_forms_are_fraction_identical_off_the_dyadic_grid(self, monkeypatch,
+                                                                     products):
+        # b = 2^64 - 59 is odd, so every value is reduced by the gcd-free strip
+        # of _over_power; the reference reduces by Fraction's gcd with b^n
+        assert_identical(monkeypatch, products, 8002, Fraction(1, 2 ** 64 - 59),
+                         [("_mul", operator.mul),
+                          ("_over_power", lambda num, b, n: Fraction(num, b ** n))])
 
     def test_dense_half_report_stays_below_the_fft(self, monkeypatch):
         def no_fft(*args, **kwargs):
