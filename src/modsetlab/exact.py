@@ -355,13 +355,16 @@ def f_series_log(n: int, p) -> float:
         raise ParameterError("log-domain F(n) needs 0 < p < 1")
     x = pf / (1.0 - pf)
     root = math.sqrt(1.0 + 4.0 * x)
-    alpha = (1.0 + root) / 2.0
-    beta = (1.0 - root) / 2.0  # negative, |beta| < alpha
-    ratio_log = (n + 1) * (math.log(-beta) - math.log(alpha))
+    # beta = (1 - root)/2 without the cancellation, which rounds it to 0 for
+    # p below about 1e-16; alpha = 1 - beta and root = sqrt(1 + 4x) go
+    # through log1p for the same reason
+    beta = -2.0 * x / (1.0 + root)  # negative, |beta| < alpha
+    log_alpha = math.log1p(-beta)
+    ratio_log = (n + 1) * (math.log(-beta) - log_alpha)
     sign = -1.0 if (n + 1) % 2 == 0 else 1.0  # -(beta/alpha)^(n+1)
     correction = math.log1p(sign * math.exp(ratio_log)) if ratio_log < -1e-12 else 0.0
-    return (n * math.log1p(-pf) + (n + 1) * math.log(alpha)
-            - math.log(root) + correction)
+    return (n * math.log1p(-pf) + (n + 1) * log_alpha
+            - 0.5 * math.log1p(4.0 * x) + correction)
 
 
 def expected_missing_sums(n: int, p) -> Fraction:

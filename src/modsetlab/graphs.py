@@ -10,18 +10,22 @@ two-target sum graph is one path with a loop on each end and the difference
 graph is one n-cycle; for composite n the difference graph splits into
 gcd(n, k) cycles of length n / gcd(n, k).
 
-The oracle enumerates all 2^n subsets with weight p^|A| (1-p)^(n-|A|) and is
-exact: satisfying subsets are tallied per cardinality as integers and the
-probability is assembled once at the end, so partial tallies can be merged in
-any order.  Masks run through numpy as uint32 chunks of _CHUNK, so an event
-predicate ``event(mask, n)`` must accept a Python int or a uint32 array and use
-only operators that work on both (&, |, <<, >>, ==; not `and`).  The built-in
-predicates are the negation and rotation kernel of `sets` (`_neg`,
-`_or_rotations`), which take either.
+The oracle weighs every one of the 2^n subsets by p^|A| (1-p)^(n-|A|) and is
+exact: subsets are tallied per cardinality as integers and the probability is
+assembled once at the end, so partial tallies can be merged in any order.  The
+event oracle enumerates all 2^n masks.  The moments oracle enumerates only the
+2^(n-1) sets that contain 0, or at prime n the 2^(n-2) that contain 0 and 1,
+and scales their counts back by translation or affine symmetry
+(`_oracle_tallies`).  Masks run through numpy as uint32 chunks of _CHUNK, so
+an event predicate ``event(mask, n)`` must accept a Python int or a uint32
+array and use only operators that work on both (&, |, <<, >>, ==; not `and`).
+The built-in predicates are the negation and rotation kernel of `sets`
+(`_neg`, `_or_rotations`), which take either.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .exact import _as_probability, _over_power
+from .exact import _as_probability, _over_power, is_prime
 from .sets import _neg, _or_rotations, _rotl
 
 ORACLE_MAX_N = 22  # masks are uint32, so the cap must stay below 32
@@ -139,12 +143,16 @@ def event_sums_missing(*targets: int) -> Callable:
         mask & _or_rotations(n, sum({1 << t % n for t in targets}), _neg(mask, n)) == 0)
 
 
-_CHUNK = 4096  # masks per uint32 chunk: large enough to amortise numpy, small in memory
+_CHUNK = 16384  # masks per uint32 chunk: large enough to amortise numpy, small in memory
 
 
-def _mask_chunks(n: int, start: int = 0):
-    for lo in range(start, 1 << n, _CHUNK):
-        yield np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.uint32)
+def _mask_chunks(n: int, start: int = 0, low: int = 0):
+    """uint32 chunks of the n-bit masks whose `low` lowest bits are set, from
+    the start-th such mask on, in increasing order."""
+    ones, end = (1 << low) - 1, 1 << (n - low)
+    for lo in range(start, end, _CHUNK):
+        free = np.arange(lo, min(lo + _CHUNK, end), dtype=np.uint32)
+        yield (free << low) | ones if low else free
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
@@ -197,18 +205,25 @@ class OracleMoments:
     Var_Dc: Fraction
 
 
-def oracle_moments(n: int, p) -> OracleMoments:
-    """Exact moments of S^c = n - |A+A| and D^c = n - |A-A| by full enumeration.
+def _oracle_tallies(n: int) -> np.ndarray:
+    """Integer (|A|, S^c) and (|A|, D^c) counts over all 2^n subsets of Z/nZ,
+    as a (2, n+1, n+1) int64 array: [0] for S^c, [1] for D^c.  No p enters.
 
-    Per uint32 chunk of masks, A+A and A-A are the OR over a in A of A and -A
-    rotated by a; the (|A|, missing count) pairs are tallied in int64.
+    |A|, |A+A| and |A-A| are kept by every translation, and at prime n by
+    every affine map x -> ux + v, u != 0, which carries any two distinct
+    residues to 0 and 1.  So only the 2^(n-1) sets that contain 0 are
+    enumerated, or at prime n the 2^(n-2) that contain 0 and 1, and each
+    count of m-sets is scaled back by N[m] = (n/m) N_0[m], or at prime n by
+    N[m] = n(n-1)/(m(m-1)) N_01[m].  The empty set and, at prime n, the n
+    singletons are added in closed form.  A division that leaves a remainder
+    raises AssertionError.  Per uint32 chunk, A+A and A-A are the OR over a
+    in A of A and -A rotated by a.
     """
-    _check_oracle_n(n)
-    p = _as_probability(p)
+    low = 2 if n >= 2 and is_prime(n) else 1  # residues 0..low-1 are in every set enumerated
     full = (1 << n) - 1
     m1 = n + 1
-    tally_s, tally_d = np.zeros((2, m1 * m1), dtype=np.int64)
-    for masks in _mask_chunks(n):
+    tally = np.zeros((2, m1 * m1), dtype=np.int64)
+    for masks in _mask_chunks(n, low=low):
         neg = _neg(masks, n)
         s_acc, d_acc = np.zeros((2, masks.size), dtype=np.uint32)
         for a in range(n):
@@ -216,15 +231,36 @@ def oracle_moments(n: int, p) -> OracleMoments:
             s_acc |= _rotl(masks, a, n, full) * member
             d_acc |= _rotl(neg, a, n, full) * member
         row = _popcount(masks) * m1
-        tally_s += np.bincount(row + (n - _popcount(s_acc)), minlength=m1 * m1)
-        tally_d += np.bincount(row + (n - _popcount(d_acc)), minlength=m1 * m1)
-    miss = np.arange(m1, dtype=np.int64)
+        tally[0] += np.bincount(row + (n - _popcount(s_acc)), minlength=m1 * m1)
+        tally[1] += np.bincount(row + (n - _popcount(d_acc)), minlength=m1 * m1)
+    tally = tally.reshape(2, m1, m1)
+    # pairs (m-set, ordered low-tuple of its members), counted both ways:
+    # perm(m, low) N[m] = perm(n, low) N_0[m] (or N_01[m])
+    picks = np.array([math.perm(m, low) for m in range(low, m1)], dtype=np.int64)[:, None]
+    scaled, rest = np.divmod(tally[:, low:] * math.perm(n, low), picks)
+    if rest.any():
+        raise AssertionError(f"oracle orbit counts at n = {n} do not divide exactly")
+    tally[:, low:] = scaled
+    tally[:, 0, n] = 1  # the empty set misses every sum and difference
+    if low == 2:
+        tally[:, 1, n - 1] = n  # a singleton {a} has A+A = {2a} and A-A = {0}
+    return tally
 
-    def moments(tally):
-        t = tally.reshape(m1, m1)
+
+def oracle_moments(n: int, p) -> OracleMoments:
+    """Exact moments of S^c = n - |A+A| and D^c = n - |A-A| over all 2^n subsets.
+
+    The p-free tallies of `_oracle_tallies`, which enumerates only the sets
+    that contain 0 (at prime n, 0 and 1) and scales their counts back by
+    symmetry, are weighed once each.
+    """
+    _check_oracle_n(n)
+    p = _as_probability(p)
+    miss = np.arange(n + 1, dtype=np.int64)
+
+    def moments(t):
         mean = _weigh(t @ miss, p, n)
         return mean, _weigh(t @ (miss * miss), p, n) - mean * mean
 
-    e_sc, var_sc = moments(tally_s)
-    e_dc, var_dc = moments(tally_d)
+    (e_sc, var_sc), (e_dc, var_dc) = map(moments, _oracle_tallies(n))
     return OracleMoments(E_Sc=e_sc, E_Dc=e_dc, Var_Sc=var_sc, Var_Dc=var_dc)

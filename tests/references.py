@@ -8,6 +8,8 @@ collect it; the test modules import it by name.
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from modsetlab import ParameterError
 
 
@@ -84,3 +86,20 @@ def expected_y_k_by_residue(n: int, p, k: int) -> Fraction:
         poly = [_cycle_choose_expectation(n // d, kk, p) for kk in range(k + 1)]
         total += mult * _poly_pow_trunc(poly, d, k)[k]
     return total
+
+
+def oracle_tallies_reference(n: int):
+    """Counts of (|A|, n - |A+A|) and (|A|, n - |A-A|) over all 2^n masks, as a
+    (2, n+1, n+1) array, read off each set's 0/1 membership column: t is in
+    A+A iff a and t-a are both in A for some a, and k is in A-A iff a and a+k are."""
+    tallies = np.zeros((2, (n + 1) ** 2), dtype=np.int64)
+    r = np.arange(n)
+    block = 1 << 14
+    for lo in range(0, 1 << n, block):
+        masks = np.arange(lo, min(lo + block, 1 << n), dtype=np.int64)
+        member = (masks >> r[:, None]) & 1 == 1  # row a: is a in each set
+        card = member.sum(axis=0)
+        for side, pair_of in enumerate((lambda t: (t - r) % n, lambda k: (r + k) % n)):
+            hit = sum((member & member[pair_of(t)]).any(axis=0) for t in range(n))
+            tallies[side] += np.bincount(card * (n + 1) + n - hit, minlength=(n + 1) ** 2)
+    return tallies.reshape(2, n + 1, n + 1)

@@ -122,6 +122,13 @@ class TestFSeries:
             exact_log = math.log(v.numerator) - math.log(v.denominator)
             assert f_series_log(n, p) == pytest.approx(exact_log, abs=1e-9)
 
+    def test_log_form_below_double_epsilon(self):
+        # (1 - sqrt(1 + 4x))/2 rounds to 0 at this p, and log(-beta) failed
+        n, p = 8002, Fraction(1, 2 ** 64 - 59)
+        got = f_series_log(n, p)
+        assert math.isfinite(got)
+        assert got == pytest.approx(math.log1p(float(f_series(n, p) - 1)), abs=1e-12)
+
 
 def cycle_reference(m, p):
     """P(A independent on the m-cycle), term by term (empty set included)."""

@@ -21,12 +21,11 @@ from modsetlab import (
     is_prime,
     oracle_event_probability,
     oracle_moments,
-    prob_both_sums_missing,
     prob_diff_missing,
     sumset,
 )
 from modsetlab.sets import _rotl, dyadic64
-from references import independence_event_holds, oracle_mean
+from references import independence_event_holds, oracle_mean, oracle_tallies_reference
 
 PRIMES_19 = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -286,8 +285,8 @@ class TestOracle:
     def test_predicates_accept_int_and_uint32_array(self):
         rng = np.random.default_rng(22)
         cases = [(n, np.arange(1 << n, dtype=np.uint32), range(n)) for n in range(1, 11)]
-        # one oracle chunk of random masks where -A takes the 32-bit reversal width
-        cases += [(n, rng.integers(0, 1 << n, graphs._CHUNK, dtype=np.uint32),
+        # 4096 random masks where -A takes the 32-bit reversal width
+        cases += [(n, rng.integers(0, 1 << n, 4096, dtype=np.uint32),
                    (0, 1, n // 2, n - 1)) for n in (19, 22)]
         for n, masks, residues in cases:
             events = ([event_diff_missing(k + 1) for k in residues]
@@ -306,7 +305,7 @@ class TestOracle:
         assert graphs._popcount(x).tolist() == [int(v).bit_count() for v in x]
 
     def test_excluding_empty_set_across_two_chunks(self):
-        n = 13
+        n = graphs._CHUNK.bit_length()
         assert 1 << n == 2 * graphs._CHUNK
         for p in (Fraction(1, 3), dyadic64(n ** -0.5)):
             q = 1 - p
@@ -315,16 +314,38 @@ class TestOracle:
                 for include in (True, False):
                     got = oracle_event_probability(n, p, event, include_empty_set=include)
                     assert got == event_reference(n, p, event, include)
+            # n may be composite, so the closed forms are the graphs' weights
             excl = oracle_event_probability(n, p, event_diff_missing(5), include_empty_set=False)
-            assert excl == prob_diff_missing(n, p)
+            assert excl + q ** n == independence_probability(build_diff_graph(n, 5).components, p)
             assert oracle_event_probability(n, p, event_diff_missing(5)) == excl + q ** n
             assert oracle_event_probability(n, p, event_sums_missing(2, 9)) == \
-                prob_both_sums_missing(n, p)
+                independence_probability(build_sum_graph(n, 2, 9).components, p)
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_moments_match_per_mask_reference(self, n):
         for p in (Fraction(1, 3), dyadic64(n ** -0.5)):
             assert oracle_moments(n, p) == moments_reference(n, p)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_tallies_match_full_enumeration(self, n):
+        # prime n enumerates 2^(n-2) masks and any other n 2^(n-1): at a
+        # _CHUNK of 16384 that is one chunk up to n = 15 and several above
+        assert (graphs._oracle_tallies(n) == oracle_tallies_reference(n)).all()
+
+    def test_moments_at_the_cap(self):
+        # composite, so the translation path runs at the widest lanes
+        n, p = graphs.ORACLE_MAX_N, Fraction(1, 3)
+        mom = oracle_moments(n, p)
+        assert mom.E_Sc == sum(independence_probability(build_sum_graph(n, s).components, p)
+                               for s in range(n))
+        assert mom.E_Dc == (1 - p) ** n + sum(
+            independence_probability(build_diff_graph(n, k).components, p) for k in range(1, n))
+
+    def test_orbit_scale_back_checks_its_divisions(self, monkeypatch):
+        # the affine identity is false at n = 8, and its row division leaves a remainder
+        monkeypatch.setattr(graphs, "is_prime", lambda n: True)
+        with pytest.raises(AssertionError, match="do not divide exactly"):
+            graphs._oracle_tallies(8)
 
     def test_is_prime_helper(self):
         assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
