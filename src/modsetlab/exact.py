@@ -368,27 +368,27 @@ def f_series_log(n: int, p) -> float:
 
 
 def expected_missing_sums(n: int, p) -> Fraction:
-    """Exact expected number of residues missing from A+A, for odd n.
+    """Exact expected number of residues missing from A+A, for any n >= 1.
 
-    Each residue s has (n-1)/2 disjoint two-element representations plus the
-    single self-representation h + h = s (a sum graph of (n-1)/2 edges and one
-    looped vertex), so P(s not in A+A) = (1 - p)(1 - p^2)^((n-1)/2) and the
-    expectation is n times that graph's weight.  (The often-quoted form
-    n (1-p^2)^((n+1)/2) treats the self-representation as an independent
-    pair and is off by a factor 1+p; see expected_missing_sums_asymptotic.)
+    With q = 1 - p: at odd n each sum s has (n-1)/2 disjoint pairs and one
+    self-representation h + h = s, so P(s not in A+A) = q (1-p^2)^((n-1)/2).
+    At even n, n/2 sums have two self-representations and (n-2)/2 pairs, weight
+    q^2 (1-p^2)^((n-2)/2), and n/2 have n/2 pairs, weight (1-p^2)^(n/2); as
+    q^2 + 1 - p^2 = 2q their mean is q (1-p^2)^((n-2)/2).  So at every n it is
+    n times the weight of a looped vertex and floor((n-1)/2) edges.  (The
+    often-quoted n (1-p^2)^((n+1)/2) is off by a factor 1+p at odd n; see
+    expected_missing_sums_asymptotic.)
     """
-    if n % 2 == 0:
-        raise ParameterError("expected_missing_sums requires odd n")
     if n < 1:
         raise ParameterError("n must be >= 1")
     return n * independence_probability((("path", 1, 1, 1), ("path", 2, 0, (n - 1) // 2)), p)
 
 
 def expected_missing_sums_asymptotic(n: int, p) -> Fraction:
-    """The first-order form n (1 - p^2)^((n+1)/2).
+    """The first-order form n (1 - p^2)^ceil(n/2), (1+p) times the exact expectation.
 
-    It is (1+p) times the exact expectation: asymptotically equivalent as
-    p -> 0 but not equal to the enumeration value at fixed (n, p).
+    Only at odd n is it the often-quoted n (1 - p^2)^((n+1)/2).  It is
+    asymptotically equivalent as p -> 0 but not equal to the enumeration value.
     """
     return expected_missing_sums(n, p) * (1 + Fraction(p))
 

@@ -363,8 +363,16 @@ class ReportRow:
         return asdict(self)
 
 
-def _rel(emp: float, target: float) -> float | None:
-    return (emp - target) / target if target else None
+def _row(agg: SweepAggregate, metric: str, empirical: float, target: float,
+         se: float | None = None, note: str = "", expectation: bool = False) -> ReportRow:
+    """One report row.  Against an exact expectation the note says whether the
+    mean is within 3 SE of it; a mean of m trials resolves multiples of 1/m,
+    so the window is at least 1/(2m) when the sample variance is zero."""
+    if expectation:
+        within = abs(empirical - target) <= max(3 * se, 0.5 / agg.trials)
+        note = f"exact expectation; within 3 SE: {within}"
+    rel = (empirical - target) / target if target else None
+    return ReportRow(agg.n, metric, empirical, target, rel, se, note)
 
 
 def convergence_report(aggregates: Iterable[SweepAggregate],
@@ -372,36 +380,25 @@ def convergence_report(aggregates: Iterable[SweepAggregate],
     """Empirical means vs regime targets (or exact expectations), one row per metric."""
     rows: list[ReportRow] = []
     for agg in aggregates:
-        n = agg.n
         if spec.regime in ("fast", "critical", "slow"):
-            tg = exact.theoretical_targets(spec.regime, n, c=spec.c, delta=spec.delta)
-            rows.append(ReportRow(n, "mean_S", agg.mean_S, tg.S_target,
-                                  _rel(agg.mean_S, tg.S_target), agg.se_S))
+            tg = exact.theoretical_targets(spec.regime, agg.n, c=spec.c, delta=spec.delta)
             note = ("difference target uses 1 - exp(-c^2), the form consistent "
                     "with the alternating series and the ratio law"
                     if spec.regime == "critical" else "")
-            rows.append(ReportRow(n, "mean_D", agg.mean_D, tg.D_target,
-                                  _rel(agg.mean_D, tg.D_target), agg.se_D, note))
+            rows += [_row(agg, "mean_S", agg.mean_S, tg.S_target, agg.se_S),
+                     _row(agg, "mean_D", agg.mean_D, tg.D_target, agg.se_D, note)]
             if agg.mean_ratio is not None:
-                rows.append(ReportRow(n, "mean_ratio", agg.mean_ratio, tg.ratio_target,
-                                      _rel(agg.mean_ratio, tg.ratio_target), agg.se_ratio))
+                rows.append(_row(agg, "mean_ratio", agg.mean_ratio, tg.ratio_target,
+                                 agg.se_ratio))
         if spec.regime == "slow":
-            rows.append(ReportRow(n, "frac_S_full", agg.frac_S_full, 1.0,
-                                  _rel(agg.frac_S_full, 1.0), None,
-                                  "desk-scale slow decay needs delta well below 1/2; "
-                                  "near 1/2 the log n = o(n p^2) regime requires "
-                                  "astronomically large n"))
-            rows.append(ReportRow(n, "frac_D_full", agg.frac_D_full, 1.0,
-                                  _rel(agg.frac_D_full, 1.0), None))
-        if spec.regime in ("slow", "intermediate", "fixed") and n % 2 == 1:
-            esc = float(exact.expected_missing_sums(n, agg.p))
-            # a mean over m trials resolves multiples of 1/m, so give the
-            # 3-SE window that floor when the sample variance is zero
-            tol = max(3 * agg.se_S, 0.5 / agg.trials)
-            within = abs(agg.mean_Sc - esc) <= tol
-            rows.append(ReportRow(n, "mean_Sc", agg.mean_Sc, esc,
-                                  _rel(agg.mean_Sc, esc), agg.se_S,
-                                  note=f"exact expectation; within 3 SE: {within}"))
+            rows += [_row(agg, "frac_S_full", agg.frac_S_full, 1.0,
+                          note="desk-scale slow decay needs delta well below 1/2; "
+                               "near 1/2 the log n = o(n p^2) regime requires "
+                               "astronomically large n"),
+                     _row(agg, "frac_D_full", agg.frac_D_full, 1.0)]
+        if spec.regime in ("slow", "intermediate", "fixed"):
+            esc = float(exact.expected_missing_sums(agg.n, agg.p))
+            rows.append(_row(agg, "mean_Sc", agg.mean_Sc, esc, agg.se_S, expectation=True))
     return rows
 
 

@@ -5,6 +5,7 @@ it checks.  The module name does not match test_*.py, so pytest does not
 collect it; the test modules import it by name.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -38,10 +39,15 @@ def prob_both_sums_missing_reference(n: int, p) -> Fraction:
 
 
 def expected_missing_sums_reference(n: int, p) -> Fraction:
-    """E[S^c] for odd n: each of the n sums has (n-1)/2 disjoint pairs and one
-    self-representation, so n (1-p) (1-p^2)^((n-1)/2)."""
+    """E[S^c] summed over classes of sums, a class per number h of
+    self-representations x + x = s: such a sum has (n - h)/2 disjoint pairs
+    {x, s - x}, so it is missing with probability (1-p)^h (1-p^2)^((n-h)/2).
+    Odd n has one class (h = 1); even n has two (h = 0 and h = 2)."""
     p = Fraction(p)
-    return n * (1 - p) * (1 - p * p) ** ((n - 1) // 2)
+    reps = Counter(2 * x % n for x in range(n))
+    classes = Counter(reps[s] for s in range(n))
+    return sum((count * (1 - p) ** h * (1 - p * p) ** ((n - h) // 2)
+                for h, count in classes.items()), Fraction(0))
 
 
 def oracle_mean(n: int, p, statistic) -> Fraction:

@@ -127,9 +127,8 @@ def test_criterion_4_exact_vs_oracle_equality():
     for n in PRIMES_13:
         for p in P_GRID:
             q = 1 - p
-            if n % 2 == 1:
-                assert oracle_moments(n, p).E_Sc == expected_missing_sums(n, p)
-                checks += 1
+            assert oracle_moments(n, p).E_Sc == expected_missing_sums(n, p)
+            checks += 1
             for k in range(1, n):
                 inclusive = oracle_event_probability(n, p, event_diff_missing(k))
                 assert inclusive == prob_diff_missing(n, p) + q ** n  # empty-set bridge

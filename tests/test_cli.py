@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from modsetlab import SampleSpec, cli, sample_subset
-from modsetlab import exact, experiments
+from modsetlab import exact, experiments, graphs
 
 
 def run_cli(capsys, *argv):
@@ -192,11 +192,12 @@ class TestExact:
         (("gauges", "--n", "0", "--p", "1/2"), "n must be >= 1"),
         (("gauges", "--n", "-5", "--p", "1/2"), "n must be >= 1"),
         (("ESc", "--n", "-3", "--p", "1/2"), "n must be >= 1"),
+        (("ESc", "--n", "0", "--p", "1/2"), "n must be >= 1"),
         (("targets", "--regime", "slow", "--n", str(10 ** 400)), "n is beyond float range"),
         (("targets", "--regime", "critical", "--c", "1", "--n", str(10 ** 400)),
          "n is beyond float range"),
         (("gauges", "--n", str(10 ** 400), "--p", "1/3"), "n is beyond float range"),
-    ], ids=["gauges-0", "gauges-negative", "ESc-negative",
+    ], ids=["gauges-0", "gauges-negative", "ESc-negative", "ESc-0",
             "targets-slow-huge", "targets-critical-huge", "gauges-huge"])
     def test_nonpositive_n_is_a_parameter_error(self, capsys, argv, message):
         # n beyond float range is rejected like n < 1: the gauges and targets are floats
@@ -215,6 +216,13 @@ class TestExact:
         data = self.get_json(capsys, "exact", "ESc", "--n", "7", "--p", "1/2")
         assert (data["numerator"], data["denominator"]) == ("189", "128")
         assert data["asymptotic_form"] == "567/256"
+
+    def test_esc_even_n_is_the_oracle_mean(self, capsys):
+        data = self.get_json(capsys, "exact", "ESc", "--n", "8", "--p", "1/2")
+        value = graphs.oracle_moments(8, Fraction(1, 2)).E_Sc
+        assert (data["numerator"], data["denominator"]) == \
+            (str(value.numerator), str(value.denominator))
+        assert data["asymptotic_form"] == "81/32"  # n (1-p^2)^(n/2) = 8 (3/4)^4
 
     def test_edc_carries_bound(self, capsys):
         data = self.get_json(capsys, "exact", "EDc", "--n", "5", "--p", "1/2")
@@ -414,9 +422,11 @@ class TestOracle:
         assert all(c["equal"] and c["asserted"] for c in data["comparisons"])
 
     def test_moments_above_the_old_cap(self, capsys):
-        code, out, _ = run_cli(capsys, "oracle", "--n", "19", "--p", "1/2", "--moments")
-        assert code == 0
-        assert all(c["equal"] for c in json.loads(out)["comparisons"])
+        # n = 22 at p = 1/3 is the console-script step of CI: even n at the cap
+        for n, p in (("19", "1/2"), ("22", "1/3")):
+            code, out, _ = run_cli(capsys, "oracle", "--n", n, "--p", p, "--moments")
+            assert code == 0
+            assert all(c["equal"] for c in json.loads(out)["comparisons"])
 
     def test_resource_limit_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "23", "--p", "1/2",

@@ -385,8 +385,7 @@ class TestIndependenceEngine:
                 assert prob_both_sums_missing(n, p) == prob_both_sums_missing_reference(n, p)
                 assert prob_diff_missing(n, p) + q ** n == \
                     independence_probability([("cycle", n, 0, 1)], p)
-            if n % 2:
-                assert expected_missing_sums(n, p) == expected_missing_sums_reference(n, p)
+            assert expected_missing_sums(n, p) == expected_missing_sums_reference(n, p)
 
     def test_small_weights(self):
         p = Fraction(1, 3)
@@ -420,24 +419,21 @@ class TestMissingSums:
         assert expected_missing_sums(7, Fraction(1, 2)) == Fraction(189, 128)
 
     def test_asymptotic_form_differs_by_one_plus_p(self):
-        for n in (5, 7, 11):
+        for n in (5, 7, 11, 2, 8, 12):
             for p in P_GRID:
                 exact = expected_missing_sums(n, p)
                 asym = expected_missing_sums_asymptotic(n, p)
                 assert asym == (1 + p) * exact
+                assert asym == n * (1 - p * p) ** ((n + 1) // 2)  # exponent ceil(n/2)
         assert expected_missing_sums_asymptotic(7, Fraction(1, 2)) == Fraction(567, 256)
 
-    def test_even_n_rejected(self):
-        with pytest.raises(ParameterError):
-            expected_missing_sums(8, Fraction(1, 2))
-
-    @pytest.mark.parametrize("n", [-1, -3, -7])
+    @pytest.mark.parametrize("n", [-1, -3, -7, 0, -2])
     def test_negative_odd_n_rejected(self, n):
         for form in (expected_missing_sums, expected_missing_sums_asymptotic):
             with pytest.raises(ParameterError, match="n must be >= 1"):
                 form(n, Fraction(1, 2))
 
-    @pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("n", [3, 5, 7, 11, 13, *range(2, 21, 2)])
     @pytest.mark.parametrize("p", P_GRID)
     def test_equals_enumeration(self, n, p):
         assert expected_missing_sums(n, p) == oracle_moments(n, p).E_Sc

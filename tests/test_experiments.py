@@ -379,14 +379,32 @@ class TestReports:
         assert agg.se_D / 10007 < 0.02
 
     def test_intermediate_report_within_3se(self):
-        spec = RegimeSpec(regime="intermediate", n_values=(10007,), trials=100,
+        # a prime and an even modulus: E[S^c] is exact at every n
+        spec = RegimeSpec(regime="intermediate", n_values=(10007, 10000), trials=100,
                           base_seed=31, gamma=1.0)
         res = run_sweep(spec)
-        rows = convergence_report(res.aggregates, spec)
-        sc_row = next(r for r in rows if r.metric == "mean_Sc")
-        assert sc_row.target == pytest.approx(
-            float(expected_missing_sums(10007, realized_p(spec, 10007))))
-        assert "within 3 SE: True" in sc_row.note
+        rows = [r for r in convergence_report(res.aggregates, spec) if r.metric == "mean_Sc"]
+        assert [r.n for r in rows] == [10007, 10000]
+        for row in rows:
+            assert row.target == float(expected_missing_sums(row.n, realized_p(spec, row.n)))
+            assert "within 3 SE: True" in row.note
+
+    def test_mean_sc_window_is_3_se_at_least_half_a_step(self):
+        spec = RegimeSpec(regime="fixed", n_values=(1000,), trials=50, base_seed=3,
+                          p_fixed=Fraction(1, 2))
+        agg = run_sweep(spec).aggregates[0]
+        target = float(expected_missing_sums(1000, agg.p))
+
+        def within(offset, se):
+            moved = dataclasses.replace(agg, mean_Sc=target + offset, se_S=se)
+            (row,) = convergence_report([moved], spec)
+            assert (row.metric, row.target, row.std_error) == ("mean_Sc", target, se)
+            return row.note.endswith("within 3 SE: True")
+
+        assert within(2.9, 1.0) and within(-2.9, 1.0)
+        assert not within(3.1, 1.0) and not within(-3.1, 1.0)
+        # a mean of 50 trials moves in steps of 1/50, so the window is at least 1/100
+        assert within(0.0099, 0.0) and not within(0.0101, 0.0)
 
     def test_report_dict_schema(self):
         spec = RegimeSpec(regime="slow", n_values=(101,), trials=10, base_seed=3,
