@@ -40,7 +40,11 @@ def main():
     print(f"P(k not in A-A)   = {prob_diff_missing(7, p)} for any k != 0, A nonempty")
     print(f"P(i,j not in A+A) = {prob_both_sums_missing(7, p)} for any i != j")
     rec = expected_missing_diffs(7, p)
-    print(f"E[D^c]            = {rec.value} <= series bound 2nF(n) = {rec.bound}")
+    print(f"E[D^c] - n(1-p)^n = {rec.value} <= series bound 2nF(n) = {rec.bound}"
+          " (the part from nonempty A)")
+    rec = expected_missing_diffs(12, p)
+    print(f"E[D^c] at n = 12  = {rec.value + 12 * (1 - p) ** 12}, one term per class gcd(12, k);"
+          " composite n has no series bound")
 
     print("\n== the tail series F(n) and its decay ==")
     print(f"F(4, 1/2) = {f_series(4, p)}")

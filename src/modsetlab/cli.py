@@ -297,7 +297,8 @@ def _n_p(a) -> dict:
 
 
 def _with_bound(rec: exact.MissingDiffExpectation) -> dict:
-    return {**_rational(rec.value), "bound_2nF": _frac_str(rec.bound)}
+    bound = None if rec.bound is None else _frac_str(rec.bound)  # None at composite n
+    return {**_rational(rec.value), "bound_2nF": bound}
 
 
 # formula -> (required flags, its params, its result fields), each from the args
@@ -368,9 +369,8 @@ def cmd_oracle(args) -> int:
     q = 1 - p
     if args.moments:
         mom = graphs.oracle_moments(n, p)
-        # D^c counts the missing targets; 0 is in A-A unless A is empty
-        diffs = (graphs.build_diff_graph(n, k) for k in range(1, n))
-        closed_dc = q ** n + sum(exact.independence_probability(g.components, p) for g in diffs)
+        # the empty set misses all n differences, and only it misses 0
+        closed_dc = exact.expected_missing_diffs(n, p).value + n * q ** n
         comparisons = [_comparison("E_Sc", mom.E_Sc, exact.expected_missing_sums(n, p)),
                        _comparison("E_Dc", mom.E_Dc, closed_dc)]
         out = {"n": n, "p": _frac_str(p),

@@ -438,28 +438,69 @@ def prob_both_sums_missing(n: int, p) -> Fraction:
     return independence_probability((("path", n, 2, 1),), p)
 
 
+def _proper_divisors_with_totient(n: int) -> list[tuple[int, int]]:
+    """(g, phi(n/g)) for each divisor g < n of n: the difference classes.
+
+    phi(n/g) residues k have gcd(k, n) = g, and each one's difference graph is
+    g cycles of n/g vertices; g = 1 comes first.  The divisors and the primes
+    of n come by trial division up to sqrt(n).
+    """
+    primes, m, q = [], n, 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    small = [q for q in range(1, math.isqrt(n) + 1) if n % q == 0]
+    out = []
+    for g in sorted((set(small) | {n // q for q in small}) - {n}):
+        phi = n // g
+        for q in primes:
+            if (n // g) % q == 0:
+                phi -= phi // q
+        out.append((g, phi))
+    return out
+
+
 @dataclass(frozen=True)
 class MissingDiffExpectation:
-    """Exact E[D^c] together with its series upper bound 2 n F(n)."""
+    """E[D^c] - n (1-p)^n, the part of E[D^c] that comes from nonempty A, and
+    its series upper bound 2 n F(n), or None at composite n, where it fails."""
 
     value: Fraction
-    bound: Fraction
+    bound: Fraction | None
 
 
 def expected_missing_diffs(n: int, p) -> MissingDiffExpectation:
-    """E[D^c] = (n-1) P(k not in A-A) for prime n, with the bound 2 n F(n).
+    """E[D^c] - n (1-p)^n = sum_{k != 0} P(k not in A-A, A nonempty), for n >= 1.
 
-    The returned record carries both the exact value and the bound; the
-    value never exceeds the bound.  Composite n is rejected: there the k with
-    gcd(n, k) > 1 split the difference graph into several cycles.
+    Only the empty set misses 0, and it misses all n residues.  A k with
+    gcd(n, k) = g splits the difference graph into g cycles of n/g vertices,
+    of weight (V_{n/g}^g - d^n) / b^n for p = a/b, d = b - a.  The coprime class
+    is phi(n) `prob_diff_missing(n, p)`; the others, at composite n only, form
+    one numerator over b^n, which that class joins by one exact division, and
+    `_over_power` reduces the sum once (a Fraction add per class would run a
+    quadratic gcd).  The bound 2 n F(n) holds at n = 1 and prime n; at
+    composite n it fails (n = 8, p = 9/10) and is None.
     """
-    if n >= 2 and not is_prime(n):
-        raise ParameterError(f"E[D^c] closed form needs prime n, got {n}")
-    value = (n - 1) * prob_diff_missing(n, p)
-    bound = 2 * n * f_series(n, p)
-    if value > bound:
-        raise AssertionError("E[D^c] exceeded its series bound 2 n F(n)")
-    return MissingDiffExpectation(value=value, bound=bound)
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    p = _as_probability(p)
+    classes = _proper_divisors_with_totient(n)  # none at n = 1, the coprime one at prime n
+    value = classes[0][1] * prob_diff_missing(n, p) if classes else Fraction(0)
+    if len(classes) <= 1:
+        bound = 2 * n * f_series(n, p)
+        if value > bound:
+            raise AssertionError("E[D^c] - n(1-p)^n exceeded its series bound 2 n F(n)")
+        return MissingDiffExpectation(value=value, bound=bound)
+    a, b, d = p.numerator, p.denominator, p.denominator - p.numerator
+    empty = _pow(d, n)
+    num = sum(phi * (_pow(_trace(a, d, n // g), g) - empty) for g, phi in classes[1:])
+    num += value.numerator * (_pow(b, n) // value.denominator)
+    return MissingDiffExpectation(value=_over_power(num, b, n), bound=None)
 
 
 @dataclass(frozen=True)

@@ -367,11 +367,14 @@ def _row(agg: SweepAggregate, metric: str, empirical: float, target: float,
          se: float | None = None, note: str = "", expectation: bool = False) -> ReportRow:
     """One report row.  Against an exact expectation the note says whether the
     mean is within 3 SE of it; a mean of m trials resolves multiples of 1/m,
-    so the window is at least 1/(2m) when the sample variance is zero."""
+    so the window is at least 1/(2m) when the sample variance is zero, and an
+    expectation below that resolution gets no relative error: it would read
+    -1 whenever the mean is 0, which it then nearly always is."""
+    resolution = 0.5 / agg.trials if expectation else 0.0
     if expectation:
-        within = abs(empirical - target) <= max(3 * se, 0.5 / agg.trials)
+        within = abs(empirical - target) <= max(3 * se, resolution)
         note = f"exact expectation; within 3 SE: {within}"
-    rel = (empirical - target) / target if target else None
+    rel = (empirical - target) / target if target and target >= resolution else None
     return ReportRow(agg.n, metric, empirical, target, rel, se, note)
 
 

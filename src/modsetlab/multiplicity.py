@@ -20,7 +20,6 @@ the alternating series of the X_k (or Y_k) in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -29,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .errors import ParameterError
-from .exact import _as_probability
+from .exact import _as_probability, _proper_divisors_with_totient
 from .sets import ResidueSet
 
 # Count a histogram by value while its maximum is at most this.  One
@@ -243,27 +242,3 @@ def expected_y_k_exact(n: int, p, k: int) -> Fraction:
         total += mult * _poly_pow_trunc(poly, d, k)[k]
     return total
 
-
-def _proper_divisors_with_totient(n: int) -> list[tuple[int, int]]:
-    """(d, phi(n/d)) for each divisor d < n of n: phi(n/d) residues r have gcd(r, n) = d.
-
-    The divisors and the primes of n come by trial division up to sqrt(n).
-    """
-    primes, m, q = [], n, 2
-    while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.append(m)
-    small = [q for q in range(1, math.isqrt(n) + 1) if n % q == 0]
-    out = []
-    for d in sorted((set(small) | {n // q for q in small}) - {n}):
-        phi = n // d
-        for q in primes:
-            if (n // d) % q == 0:
-                phi -= phi // q
-        out.append((d, phi))
-    return out

@@ -7,7 +7,7 @@ collect it; the test modules import it by name.
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -48,6 +48,35 @@ def expected_missing_sums_reference(n: int, p) -> Fraction:
     classes = Counter(reps[s] for s in range(n))
     return sum((count * (1 - p) ** h * (1 - p * p) ** ((n - h) // 2)
                 for h, count in classes.items()), Fraction(0))
+
+
+def expected_missing_diffs_reference(n: int, p) -> Fraction:
+    """E[D^c] - n(1-p)^n = sum_{k != 0} P(k not in A-A, A nonempty), one k at a time.
+
+    A misses k when no a in A has a + k in A: A is independent in g = gcd(n, k)
+    cycles of m = n/g vertices.  An m-cycle (m >= 2) has m C(m-r, r)/(m-r)
+    independent r-sets; the g cycles' counts convolve into c_R, the independent
+    R-sets of the whole graph, weighed term by term as a^R d^(n-R) / b^n for
+    p = a/b, d = b - a.  R = 0 is the empty set, which is left out.
+    """
+    p = Fraction(p)
+    a, b = p.numerator, p.denominator
+    d = b - a
+    weights: dict[int, int] = {}  # g -> the numerator over b^n, one per cycle count
+    total = 0
+    for k in range(1, n):
+        g = gcd(n, k)
+        if g not in weights:
+            m = n // g
+            cycle = [m * comb(m - r, r) // (m - r) for r in range(m // 2 + 1)]
+            counts = [1]
+            for _ in range(g):
+                counts = [sum(counts[i] * cycle[R - i] for i in range(len(counts))
+                              if 0 <= R - i < len(cycle))
+                          for R in range(len(counts) + len(cycle) - 1)]
+            weights[g] = sum(c * a ** R * d ** (n - R) for R, c in enumerate(counts) if R)
+        total += weights[g]
+    return Fraction(total, b ** n)
 
 
 def oracle_mean(n: int, p, statistic) -> Fraction:

@@ -229,9 +229,13 @@ class TestExact:
         assert (data["numerator"], data["denominator"]) == ("5", "4")
         assert data["bound_2nF"] == "5/2"
 
-    def test_edc_needs_prime_n(self, capsys):
-        code, out, err = run_cli(capsys, "exact", "EDc", "--n", "6", "--p", "1/3")
-        assert (code, out, err) == (1, "", "error: E[D^c] closed form needs prime n, got 6\n")
+    def test_edc_at_composite_n(self, capsys):
+        # the oracle's E[D^c] less the empty set's 6 q^6; no series bound at composite n
+        data = self.get_json(capsys, "exact", "EDc", "--n", "6", "--p", "1/3")
+        value = graphs.oracle_moments(6, Fraction(1, 3)).E_Dc - 6 * Fraction(2, 3) ** 6
+        assert (data["numerator"], data["denominator"]) == \
+            (str(value.numerator), str(value.denominator))
+        assert data["bound_2nF"] is None
 
     def test_gauges(self, capsys):
         data = self.get_json(capsys, "exact", "gauges", "--n", "10007", "--p", "0.1")
@@ -421,6 +425,14 @@ class TestOracle:
         assert [c["comparison"] for c in data["comparisons"]] == ["E_Sc", "E_Dc"]
         assert all(c["equal"] and c["asserted"] for c in data["comparisons"])
 
+    def test_moments_at_every_n_up_to_the_cap(self, capsys):
+        # the console-script step's oracle checks, at every modulus the oracle takes
+        for n in range(1, 23):
+            code, out, _ = run_cli(capsys, "oracle", "--n", str(n), "--p", "1/3", "--moments")
+            comps = json.loads(out)["comparisons"]
+            assert code == 0 and [c["comparison"] for c in comps] == ["E_Sc", "E_Dc"], n
+            assert all(c["equal"] for c in comps), n
+
     def test_moments_above_the_old_cap(self, capsys):
         # n = 22 at p = 1/3 is the console-script step of CI: even n at the cap
         for n, p in (("19", "1/2"), ("22", "1/3")):
@@ -492,6 +504,18 @@ class TestSweepCommand:
         assert code == 0
         report = json.loads(out)
         assert any(r["metric"] == "frac_S_full" for r in report["comparisons"])
+
+    def test_negligible_expectation_has_no_relative_error(self, capsys):
+        # E[S^c] at p = 1/2 is far below a 20-trial mean's resolution 1/40, so
+        # the mean is 0 and a relative error would read -1 on a matching row
+        code, out, _ = run_cli(capsys, "sweep", "--p", "1/2", "--n", "1009", "1000",
+                               "--trials", "20", "--seed", "3", "--workers", "1")
+        assert code == 0
+        rows = [r for r in json.loads(out)["comparisons"] if r["metric"] == "mean_Sc"]
+        assert [r["n"] for r in rows] == [1009, 1000]
+        for row in rows:
+            assert 0 < row["target"] < 1e-59 and row["empirical"] == 0
+            assert row["rel_error"] is None and row["note"].endswith("within 3 SE: True")
 
     def test_config_file_with_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

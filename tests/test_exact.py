@@ -35,6 +35,7 @@ from modsetlab import exact, sets
 from modsetlab.exact import _FFT_MIN_BITS, _lucas_u, _mul, _over_power, _pow, f_series_log
 from modsetlab.sets import dyadic64
 from references import (
+    expected_missing_diffs_reference,
     expected_missing_sums_reference,
     f_series_reference,
     prob_both_sums_missing_reference,
@@ -532,15 +533,44 @@ class TestMissingDiffExpectation:
             rec = expected_missing_diffs(n, p)
             assert rec.value <= rec.bound
 
-    @pytest.mark.parametrize("n", (4, 6, 8, 9, 15))
-    def test_composite_n_rejected(self, n):
-        # the prime form (n-1) P(k not in A-A) is wrong here: the k with
-        # gcd(n, k) > 1 split the difference graph into several cycles
-        p = Fraction(1, 3)
-        with pytest.raises(ParameterError, match="prime n"):
-            expected_missing_diffs(n, p)
-        nonempty_dc = oracle_moments(n, p).E_Dc - n * (1 - p) ** n
-        assert nonempty_dc != (n - 1) * prob_diff_missing(n, p)
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_value_is_the_oracle_mean_less_the_empty_set(self, n):
+        # the empty set misses all n differences, and only it misses 0
+        for p in P_GRID:
+            rec = expected_missing_diffs(n, p)
+            assert rec.value + n * (1 - p) ** n == oracle_moments(n, p).E_Dc, p
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_bound_is_none_exactly_at_composite_n(self, n):
+        composite = n > 1 and not exact.is_prime(n)
+        for p in P_GRID:
+            assert (expected_missing_diffs(n, p).bound is None) == composite, p
+
+    def test_bound_fails_at_composite_n(self):
+        # why composite n carries no bound: the classes with gcd(n, k) > 1 push
+        # the value past 2nF(n)
+        for n, p in ((8, Fraction(9, 10)), (200, Fraction(1, 3))):
+            assert expected_missing_diffs(n, p).value > 2 * n * f_series(n, p)
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 120, 210])
+    def test_matches_reference(self, n):
+        for p in (Fraction(1, 3), dyadic64(n ** -0.5)):
+            assert expected_missing_diffs(n, p).value == expected_missing_diffs_reference(n, p), p
+
+    def test_parameter_errors(self):
+        for n in (0, -3):
+            with pytest.raises(ParameterError, match="n must be >= 1"):
+                expected_missing_diffs(n, Fraction(1, 3))
+        with pytest.raises(ParameterError):
+            expected_missing_diffs(6, Fraction(3, 2))
+
+    def test_divisors_with_totient(self):
+        assert exact._proper_divisors_with_totient(1) == []
+        assert exact._proper_divisors_with_totient(12) == [
+            (1, 4), (2, 2), (3, 2), (4, 2), (6, 1)]
+        for n in (97, 1024, 30030):
+            pairs = exact._proper_divisors_with_totient(n)
+            assert sum(phi for _, phi in pairs) == n - 1
 
 
 class TestGauges:

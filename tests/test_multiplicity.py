@@ -430,11 +430,3 @@ class TestExpectations:
         p = Fraction(1, 3)
         for n in [*range(2, 121), 1000, 1024, 30030]:
             assert expected_y_k_exact(n, p, k) == expected_y_k_by_residue(n, p, k), n
-
-    def test_divisors_with_totient(self):
-        assert multiplicity._proper_divisors_with_totient(1) == []
-        assert multiplicity._proper_divisors_with_totient(12) == [
-            (1, 4), (2, 2), (3, 2), (4, 2), (6, 1)]
-        for n in (97, 1024, 30030):
-            pairs = multiplicity._proper_divisors_with_totient(n)
-            assert sum(phi for _, phi in pairs) == n - 1
