@@ -1,0 +1,8 @@
+"""`python -m modsetlab`: the `modsetlab` command line (see `modsetlab.cli`)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

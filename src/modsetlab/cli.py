@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 import decimal
 from decimal import Decimal
@@ -436,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as e:
         print(f"assertion failed: {e}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (BrokenProcessPool, OSError, MemoryError) as e:
+    except (OSError, MemoryError) as e:
         print(f"resource limit: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -4,7 +4,8 @@ Every trial is a pure function of (base_seed, trial_index), so a sweep can be
 split across any number of worker processes and still produce byte-identical
 output: records are sorted by (n, trial_index) and all aggregate statistics
 are assembled from exact integer / rational accumulators, with divisions
-performed once at the end.
+performed once at the end.  The workers are children forked from the
+sweeping process, so they start with every module it has loaded.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import IO, Iterable
@@ -20,7 +22,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from . import exact
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .exact import is_prime
 from .multiplicity import inclusion_exclusion_size, multiplicity_profile, x_k, y_k
 from .sets import _BLOCK, SampleSpec, _pick_kernel, difference_set, dyadic64, sample_subset, sumset
@@ -226,10 +228,6 @@ def _pair_counts_at(A, residues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(sums), np.concatenate(diffs)
 
 
-def _run_trial(job) -> TrialRecord:
-    return run_trial(*job)
-
-
 @dataclass(frozen=True)
 class SweepAggregate:
     """Order-independent summary of all trials at one modulus."""
@@ -326,25 +324,90 @@ def run_sweep(spec: RegimeSpec) -> SweepResult:
 
     Identical output for any worker count: per-trial streams depend only on
     (base_seed, trial_index), and aggregates are exact sums.  With more than
-    one worker, the trials of every modulus go to one process pool in chunks
-    of trials / workers, so a worker that finishes early takes up the next
-    chunk, of this modulus or the next.
+    one worker the trials run in that many forked children
+    (`_forked_trials`), and this process runs none; where the OS cannot fork,
+    they all run in this process.
     """
     workers = pool_size(spec.workers, spec.trials, usable_cpus())
     ps = [realized_p(spec, n) for n in spec.n_values]
     jobs = [(n, p, spec.base_seed, t, spec.k_max)
             for n, p in zip(spec.n_values, ps) for t in range(spec.trials)]
-    if workers == 1:
-        records = list(map(_run_trial, jobs))
+    if workers > 1 and hasattr(os, "fork"):
+        records = _forked_trials(jobs, spec.trials, workers)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, jobs,
-                                    chunksize=-(-spec.trials // workers)))
+        records = [run_trial(*job) for job in jobs]
     m = spec.trials
     aggregates = [_aggregate(n, p, records[i * m:(i + 1) * m])
                   for i, (n, p) in enumerate(zip(spec.n_values, ps))]
     records.sort(key=lambda r: (r.n, r.trial_index))
     return SweepResult(records=records, aggregates=aggregates)
+
+
+def _forked_trials(jobs: list[tuple], trials: int, workers: int) -> list[TrialRecord]:
+    """The records of `jobs` (`trials` per modulus), in job order, from
+    `workers` forked children.
+
+    The children are forked, not spawned, so that each starts with every
+    module this process has loaded and loads none during its trials (see the
+    numpy imports of `sets`).  Trial t of the i-th modulus goes to child
+    (i + t) mod workers, so each child gets an even share of every modulus,
+    and the spot-checked trial 0 of successive moduli (the slowest trial) goes
+    to successive children.  A child pickles its records, or the exception it
+    raised, into its own pipe and leaves by os._exit, so none of this
+    process's cleanup runs twice.  This process only reads the pipes, in
+    child order: it re-raises the first exception, and a child that died
+    without a payload is a ResourceLimitError.  Children still running on the
+    way out, by any path, are killed, and every child is reaped.
+    """
+    shares = [[j for j in range(len(jobs)) if (j // trials + j % trials) % workers == w]
+              for w in range(workers)]
+    pids: list[int] = []  # children not yet reaped, in child order
+    pipes: list[IO[bytes]] = []
+    try:
+        for share in shares:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child: whatever happens, it leaves by os._exit
+                status = 1
+                try:
+                    try:
+                        payload = [run_trial(*jobs[j]) for j in share]
+                    except Exception as e:
+                        payload = e
+                    with open(write_fd, "wb") as out:
+                        pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            pids.append(pid)
+        records: list = [None] * len(jobs)
+        for w, (pipe, share) in enumerate(zip(pipes, shares)):
+            payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if code < 0:
+                raise ResourceLimitError(f"sweep worker {w} was killed by signal {-code} "
+                                         f"({signal.strsignal(-code)})")
+            if code:
+                raise ResourceLimitError(f"sweep worker {w} exited with status {code}")
+            result = pickle.loads(payload)
+            if isinstance(result, Exception):
+                raise result
+            for j, record in zip(share, result):
+                records[j] = record
+        return records
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)

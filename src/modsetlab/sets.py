@@ -47,6 +47,11 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+# numpy loads numpy.random and numpy.fft on first use; loading them here puts
+# them in the parent of forked sweep workers, which would otherwise each load
+# them again, on the first trial and on the first FFT pair count
+import numpy.fft
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import ParameterError, ResourceLimitError
 from .exact import _as_probability, _rounded
@@ -188,10 +193,9 @@ class SampleSpec:
             raise ParameterError("trial_index must be nonnegative")
 
 
-def _trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
+def _trial_rng(base_seed: int, trial_index: int) -> Generator:
     seed64 = base_seed & 0xFFFFFFFFFFFFFFFF
-    ss = np.random.SeedSequence((seed64, trial_index))
-    return np.random.Generator(np.random.PCG64(ss))
+    return Generator(PCG64(SeedSequence((seed64, trial_index))))
 
 
 def sample_subset(spec: SampleSpec) -> ResidueSet:

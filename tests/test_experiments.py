@@ -3,6 +3,8 @@
 import dataclasses
 import io
 import json
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -247,7 +249,8 @@ class TestSweep:
         assert a.records == b.records
         assert a.aggregates == b.aggregates
 
-    def test_worker_count_invisible(self):
+    def test_worker_count_invisible(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)  # three children here too
         serial = run_sweep(self.spec(workers=1))
         parallel = run_sweep(self.spec(workers=3))
         assert serial.records == parallel.records
@@ -305,6 +308,56 @@ class TestSweep:
         assert serial.records == parallel.records
         assert serial.aggregates == parallel.aggregates
         assert [a.n for a in parallel.aggregates] == [61, 101, 67]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_trials_are_dealt_to_forked_children(self, monkeypatch, workers):
+        # trial t of the i-th modulus runs in child (i + t) mod workers, and
+        # this process runs none; each record carries the pid that made it
+        def tagged(*job):
+            return dataclasses.replace(run_trial(*job), xk=(os.getpid(),))
+
+        monkeypatch.setattr(experiments, "run_trial", tagged)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+        spec = RegimeSpec(regime="fixed", n_values=(61, 101, 67), trials=7, base_seed=3,
+                          p_fixed=Fraction(1, 2), workers=workers)
+        records = run_sweep(spec).records
+        pids = {}
+        for i, n in enumerate(spec.n_values):
+            for r in records:
+                if r.n == n:
+                    pids.setdefault((i + r.trial_index) % workers, set()).add(r.xk[0])
+        assert sorted(pids) == list(range(workers))
+        assert all(len(group) == 1 for group in pids.values())
+        assert len(set.union(*pids.values()) - {os.getpid()}) == workers
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failing_child_stops_the_others(self, monkeypatch):
+        # child 0 raises on trial 0 while child 1 sleeps: the error comes back
+        # with its type and message, and child 1 is killed and reaped
+        parent = os.getpid()
+
+        def trial(n, p, base_seed, trial_index, k_max=0):
+            if os.getpid() != parent:
+                if trial_index == 0:
+                    raise ParameterError(f"trial 0 failed at n={n}")
+                if trial_index == 1:
+                    time.sleep(60)
+            return run_trial(n, p, base_seed, trial_index, k_max)
+
+        monkeypatch.setattr(experiments, "run_trial", trial)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        start = time.monotonic()
+        with pytest.raises(ParameterError, match="trial 0 failed at n=61"):
+            run_sweep(self.spec(workers=2))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_the_sweep_runs_in_one_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        assert run_sweep(self.spec(workers=3)) == run_sweep(self.spec(workers=1))
 
     def test_pool_size_clamp(self):
         assert pool_size(5000, 5000, 2) == 2      # never more than the usable CPUs

@@ -11,11 +11,11 @@ import modsetlab
 # shape classifiers that PairGraph.components replaced, a helper that only the
 # counts use, the one-target sum predicate that event_sums_missing covers,
 # three input checks whose rules `exact._check_regime` and the pair graphs own,
-# and two block sizes that `sets._BLOCK` replaced
+# two block sizes that `sets._BLOCK` replaced, and the process pool's job adapter
 REMOVED = ("oracle_mean", "_f_series_reference", "independence_event_holds",
            "gauge_g_squared_exact", "expected_x_k", "xi_counts", "classify", "Classification",
            "binomial", "event_sum_missing", "_check_finite", "_diff_missing", "_sums_missing",
-           "_SPARSE_BLOCK", "_RECOUNT_BLOCK")
+           "_SPARSE_BLOCK", "_RECOUNT_BLOCK", "_run_trial")
 
 
 def test_public_surface():
