@@ -5,7 +5,10 @@ split across any number of worker processes and still produce byte-identical
 output: records are sorted by (n, trial_index) and all aggregate statistics
 are assembled from exact integer / rational accumulators, with divisions
 performed once at the end.  The workers are children forked from the
-sweeping process, so they start with every module it has loaded.
+sweeping process, so they start with every module it has loaded.  A sweep
+forks only when its draws give each child at least DRAWS_PER_WORKER
+residues; a smaller one runs in the sweeping process, where a child's
+fork and copy-on-write faults would cost more than the second CPU saves.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ SCHEMA_VERSION = "1"
 REGIMES = ("fast", "critical", "slow", "intermediate", "fixed")
 SPOT_CHECK_EVERY = 100  # per-trial identity check on 1% of trials
 SPOT_CHECK_RESIDUES = 256  # residues whose pair counts a sparse spot check recounts
+# The fewest sampled residues (trials x sum of n) worth a forked worker.  One
+# process against two forked children (2-vCPU Xeon VM, numpy 2.4): p = 1/2
+# sweeps took 17.6 against 23.2 ms at 0.48 M draws and 32.5 against 38.2 ms
+# at 1.6 M; critical ones with k_max = 5, 16.8 against 25.9 ms at 1.0 M and
+# 122.9 against 89.2 ms at 8.0 M.  Two children broke even between 2 M and
+# 5 M draws (BENCH_26.json).
+DRAWS_PER_WORKER = 1 << 20
 
 __all__ = [
     "RegimeSpec",
@@ -313,22 +323,26 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def pool_size(workers: int, trials: int, cpus: int) -> int:
+def pool_size(workers: int, trials: int, draws: int, cpus: int) -> int:
     """Worker processes for a sweep: at most the requested count, the trials
-    per modulus and the usable CPUs, and at least one."""
-    return max(1, min(workers, trials, cpus))
+    per modulus, the usable CPUs and one per DRAWS_PER_WORKER of the sweep's
+    `draws` residues, and at least one."""
+    return max(1, min(workers, trials, draws // DRAWS_PER_WORKER, cpus))
 
 
 def run_sweep(spec: RegimeSpec) -> SweepResult:
     """Run trials x n_values; records come back sorted by (n, trial_index).
 
     Identical output for any worker count: per-trial streams depend only on
-    (base_seed, trial_index), and aggregates are exact sums.  With more than
+    (base_seed, trial_index), and aggregates are exact sums.  `spec.workers`
+    is an upper bound (`pool_size`): a sweep of fewer than twice
+    DRAWS_PER_WORKER sampled residues runs in this process.  With more than
     one worker the trials run in that many forked children
     (`_forked_trials`), and this process runs none; where the OS cannot fork,
     they all run in this process.
     """
-    workers = pool_size(spec.workers, spec.trials, usable_cpus())
+    workers = pool_size(spec.workers, spec.trials, spec.trials * sum(spec.n_values),
+                        usable_cpus())
     ps = [realized_p(spec, n) for n in spec.n_values]
     jobs = [(n, p, spec.base_seed, t, spec.k_max)
             for n, p in zip(spec.n_values, ps) for t in range(spec.trials)]

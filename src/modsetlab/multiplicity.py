@@ -115,11 +115,15 @@ def multiplicity_profile(A: ResidueSet) -> MultiplicityProfile:
 
 
 def _k_sets_with_common_value(hist: np.ndarray, k: int) -> int:
-    """Sum over residues of C(multiplicity, k), exactly, from the multiplicity histogram."""
+    """Sum over residues of C(multiplicity, k), exactly, from the multiplicity histogram.
+
+    Only the nonzero entries of hist[k:] are visited: the difference histogram
+    runs up to |A|, the multiplicity of residue 0, and is nearly all zeros.
+    """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    return sum(cnt * comb(v, k)
-               for v, cnt in enumerate(hist[k:].tolist(), start=k) if cnt)
+    values = np.flatnonzero(hist[k:]) + k
+    return sum(cnt * comb(v, k) for v, cnt in zip(values.tolist(), hist[values].tolist()))
 
 
 def x_k(profile: MultiplicityProfile, k: int) -> int:

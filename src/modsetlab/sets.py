@@ -54,7 +54,7 @@ import numpy.fft
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import ParameterError, ResourceLimitError
-from .exact import _as_probability, _rounded
+from .exact import _as_probability, _fast_length, _rounded
 
 _WORD_BITS = 64
 _FRAC_BITS = 64          # probabilities are realized on the k / 2**64 grid
@@ -123,8 +123,10 @@ class ResidueSet:
         bits[idx] = 1
         return cls(n, _mask_from_bits(bits))
 
-    @property
+    @cached_property
     def cardinality(self) -> int:
+        """|A|, counted once per set: a popcount of the n-bit mask takes about
+        0.1 ms at n = 1e6, and a sparse trial asks for it about six times."""
         return self.mask.bit_count()
 
     def indices(self) -> np.ndarray:
@@ -376,22 +378,27 @@ def _pair_multiplicities(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _fft_length(n: int) -> int:
-    """Smallest power of two >= 2n: room for every a+b and a-b without wrap-around."""
+    """Smallest power of two >= 2n, the length at which `_use_fft`'s crossover
+    was measured.  `_pair_counts_fft` transforms at the shorter
+    `exact._fast_length(2n)`; the crossover keeps this cost until it is measured
+    again."""
     return 1 << (2 * n - 1).bit_length()
 
 
 def _use_fft(c: int, n: int) -> bool:
     """Count the pairs of |A| = c in Z/nZ by FFT rather than by the pair count.
 
-    The pair count costs ~|A|^2 and the padded FFT ~L log2 L.  The threshold
-    |A|^2 = L log2 L / 4 is where the FFT broke even, for n from 2e3 to 1e6
-    (numpy 2.4, 2-vCPU Xeon VM), with a pair count that was then a bincount
-    into int64.  The narrow np.add.at count is faster: at n = 1000003 and
-    |A| = 6636, on the FFT side of the threshold, it took 302 ms against the
-    FFT's 321 ms, while at n = 100003 and |A| = 2172 the FFT still won (22
-    against 32 ms).  So the break-even has moved up near n ~ 1e6 and not near
-    1e5.  The constant stays until a workload has sets near it: critical sets
-    (|A| ~ sqrt(n)) are far below it and dense ones (|A| ~ n p) far above.
+    The pair count costs ~|A|^2 and the padded FFT ~L log2 L, with L the
+    power of two of `_fft_length`.  The threshold |A|^2 = L log2 L / 4 is
+    where the FFT broke even, for n from 2e3 to 1e6 (numpy 2.4, 2-vCPU Xeon
+    VM), at that length and with a pair count that was then a bincount into
+    int64.  Both sides have got faster since.  The narrow np.add.at count took
+    302 ms against the FFT's 321 ms at n = 1000003 and |A| = 6636, on the FFT
+    side of the threshold, while at n = 100003 and |A| = 2172 the FFT still
+    won (22 against 32 ms).  The FFT now runs at `exact._fast_length(2n)`, up
+    to 37.5% shorter than L.  The constant stays until a workload has sets
+    near it: critical sets (|A| ~ sqrt(n)) are far below it and dense ones
+    (|A| ~ n p) far above.
     """
     L = _fft_length(n)
     return _FFT_CROSSOVER * c * c > L * (L.bit_length() - 1)
@@ -400,26 +407,41 @@ def _use_fft(c: int, n: int) -> bool:
 def _pair_counts_fft(A: ResidueSet) -> tuple[np.ndarray, np.ndarray] | None:
     """(m_sum, m_diff) by a zero-padded real FFT, or None if inexact.
 
-    The indicator of A, padded to L >= 2n, gives the linear autoconvolution
-    (sum a+b at index a+b < 2n) and autocorrelation (difference a-b at index
-    a-b mod L); folding both mod n gives the cyclic counts.  The float result
-    is accepted only if it passes its own exactness check: every entry within
-    1/4 of an integer, both ordered count vectors summing to |A|^2, and
+    The indicator of A, padded to L = `exact._fast_length(2n)` >= 2n, gives
+    the linear autoconvolution (sum a+b at index a+b < 2n) and
+    autocorrelation (difference a-b at index a-b mod L); folding both mod n
+    gives the cyclic counts.  The float result is accepted only if it passes
+    its own exactness check: every entry within 1/4 of an integer
+    (`exact._rounded`), both ordered count vectors summing to |A|^2, and
     difference 0 counted exactly |A| times.  The checks run in int64; the
     exact counts are then cast to `_count_dtype(|A|)`, as the bincount's are.
+
+    The spectrum F is squared in place, after its power |F|^2 (the
+    correlation's spectrum, real, so half as long) is taken, and each
+    inverse is folded to length n before the next is formed: no two complex
+    spectra and no two length-L results are alive at once.
     """
     n = A.n
     idx = A.indices()
     c = idx.size
-    L = _fft_length(n)
-    ind = np.zeros(L)
+    L = _fast_length(2 * n)
+    ind = np.zeros(n)
     ind[idx] = 1.0
-    F = np.fft.rfft(ind)
-    del ind  # one transform at a time keeps the peak near 45 bytes per L
-    conv, conv_exact = _rounded(np.fft.irfft(F * F, L))
-    corr, corr_exact = _rounded(np.fft.irfft(F * F.conj(), L))
+    F = np.fft.rfft(ind, L)
+    del ind
+    power = F.real ** 2
+    power += F.imag ** 2
+    F *= F
+    conv = np.fft.irfft(F, L)
+    del F
+    conv, conv_exact = _rounded(conv)
     ordered_sum = conv[:n] + conv[n:2 * n]
+    del conv
+    corr = np.fft.irfft(power, L)
+    del power
+    corr, corr_exact = _rounded(corr)
     m_diff = corr[:n] + corr[L - n:]
+    del corr
     if (conv_exact and corr_exact and int(ordered_sum.sum()) == c * c
             and int(m_diff.sum()) == c * c and m_diff[0] == c):
         dtype = _count_dtype(c)

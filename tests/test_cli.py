@@ -626,6 +626,7 @@ class TestSweepCommand:
         pair_counts_at = experiments._pair_counts_at
         monkeypatch.setattr(experiments, "_pair_counts_at", off_by_one)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "DRAWS_PER_WORKER", 1)
         assert run_cli(capsys, "sweep", "--regime", "critical", "--c", "1", "--n", "1009",
                        "--trials", "2", "--workers", "2", "--seed", "1") == \
             (2, "", "assertion failed: sampled pair counts off for sums (n=1009, trial=0)\n")
@@ -645,6 +646,7 @@ class TestSweepCommand:
         run_trial = experiments.run_trial
         monkeypatch.setattr(experiments, "run_trial", dying_trial)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "DRAWS_PER_WORKER", 1)
         code, out, err = run_cli(capsys, "sweep", "--p", "1/2", "--n", "31", "--trials", "4",
                                  "--workers", "2")
         assert (code, out) == (3, "")
@@ -718,7 +720,7 @@ class TestSweepCommand:
             (1, "", "error: modulus n=1009 appears more than once\n")
 
     def test_critical_sweep_rows_do_not_depend_on_kmax(self, capsys, tmp_path):
-        # a critical sweep on a process pool, spot-checked on trials 0 and 100:
+        # a critical sweep, spot-checked on trials 0 and 100:
         # without --kmax the kernels scatter the pairs, with it they read the
         # profile's pair counts, and the trial rows must not differ; the even
         # modulus has the self-mirrored difference n/2

@@ -251,6 +251,7 @@ class TestSweep:
 
     def test_worker_count_invisible(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)  # three children here too
+        monkeypatch.setattr(experiments, "DRAWS_PER_WORKER", 1)  # however small the sweep
         serial = run_sweep(self.spec(workers=1))
         parallel = run_sweep(self.spec(workers=3))
         assert serial.records == parallel.records
@@ -265,11 +266,13 @@ class TestSweep:
                                         dict(regime="critical", n_values=(30030,), c=1.0),
                                         dict(regime="fixed", n_values=(2003,),
                                              p_fixed=Fraction(1, 2))])
-    def test_sizes_do_not_depend_on_k_max(self, regime):
+    def test_sizes_do_not_depend_on_k_max(self, monkeypatch, regime):
         # trial 100 is spot-checked; the others read the sizes off the profile
         # when x_k/y_k are asked for, and scatter or rotate when not.  The even
         # moduli fold the difference n/2 and count a and a + n/2 on one sum 2a;
-        # 30030 = 2*3*5*7*11*13
+        # 30030 = 2*3*5*7*11*13.  The workers=2 leg forks wherever there are
+        # two CPUs, however few draws the sweep makes
+        monkeypatch.setattr(experiments, "DRAWS_PER_WORKER", 1)
         rows, csv_data = set(), set()
         for k_max in (0, 3):
             for workers in (1, 2):
@@ -300,7 +303,9 @@ class TestSweep:
         assert (real.S, real.D) != (1, 3)
         assert (record.card, record.xk, record.yk) == (real.card, real.xk, real.yk)
 
-    def test_one_pool_for_uneven_chunks_of_many_moduli(self):
+    def test_one_pool_for_uneven_chunks_of_many_moduli(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "DRAWS_PER_WORKER", 1)
         spec = RegimeSpec(regime="fixed", n_values=(61, 101, 67), trials=7, base_seed=3,
                           p_fixed=Fraction(1, 2), workers=2)
         serial = run_sweep(dataclasses.replace(spec, workers=1))
@@ -318,6 +323,7 @@ class TestSweep:
 
         monkeypatch.setattr(experiments, "run_trial", tagged)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+        monkeypatch.setattr(experiments, "DRAWS_PER_WORKER", 1)
         spec = RegimeSpec(regime="fixed", n_values=(61, 101, 67), trials=7, base_seed=3,
                           p_fixed=Fraction(1, 2), workers=workers)
         records = run_sweep(spec).records
@@ -347,6 +353,7 @@ class TestSweep:
 
         monkeypatch.setattr(experiments, "run_trial", trial)
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "DRAWS_PER_WORKER", 1)
         start = time.monotonic()
         with pytest.raises(ParameterError, match="trial 0 failed at n=61"):
             run_sweep(self.spec(workers=2))
@@ -357,13 +364,31 @@ class TestSweep:
     def test_without_fork_the_sweep_runs_in_one_process(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(experiments, "DRAWS_PER_WORKER", 1)
         assert run_sweep(self.spec(workers=3)) == run_sweep(self.spec(workers=1))
 
+    def test_small_sweep_runs_in_this_process(self, monkeypatch):
+        # 30 x (61 + 101) draws are far below DRAWS_PER_WORKER: three workers
+        # asked for and three CPUs, yet no fork, and the same rows
+        def no_fork():
+            raise AssertionError("a small sweep forked")
+
+        serial = run_sweep(self.spec(workers=1))
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_sweep(self.spec(workers=3)) == serial
+
     def test_pool_size_clamp(self):
-        assert pool_size(5000, 5000, 2) == 2      # never more than the usable CPUs
-        assert pool_size(8, 3, 16) == 3           # nor than the trials per modulus
-        assert pool_size(2, 100, 4) == 2
-        assert pool_size(4, 100, 0) == 1          # at least one
+        work = experiments.DRAWS_PER_WORKER
+        assert pool_size(5000, 5000, 5000 * work, 2) == 2  # never more than the usable CPUs
+        assert pool_size(8, 3, 8 * work, 16) == 3          # nor than the trials per modulus
+        assert pool_size(2, 100, 2 * work, 4) == 2
+        assert pool_size(4, 100, 4 * work, 0) == 1         # at least one
+        # nor than one per DRAWS_PER_WORKER residues drawn
+        assert pool_size(4, 100, 3 * work - 1, 4) == 2
+        assert pool_size(4, 100, 3 * work, 4) == 3
+        assert pool_size(2, 100, 2 * work - 1, 2) == 1
+        assert pool_size(2, 100, 0, 2) == 1
         assert usable_cpus() >= 1
 
     def test_record_count_and_order(self):

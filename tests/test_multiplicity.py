@@ -84,6 +84,23 @@ class TestBackends:
         for density in (0.01, 0.5):
             self.assert_backends_agree(n, [r for r in range(n) if rng.random() < density])
 
+    @pytest.mark.parametrize("n, length", [
+        (1, 5), (2, 5), (3, 6),
+        (2559, 5120), (2560, 5120), (2561, 6144),
+        (3071, 6144), (3072, 6144), (3073, 8192),
+        (4095, 8192), (4096, 8192), (4097, 10240)])
+    def test_fast_lengths_either_side_of_2n(self, monkeypatch, n, length):
+        # the transform runs at exact._fast_length(2n), the least 5, 6 or 8
+        # times a power of two >= 2n: here 2n lies just below, at and just
+        # above 5 * 2^10, 6 * 2^10 and 8 * 2^10, at even and odd n
+        lengths = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, L: lengths.append(L) or irfft(a, L))
+        rng = random.Random(n)
+        self.assert_backends_agree(n, [r for r in range(n) if rng.random() < 0.5])
+        self.assert_backends_agree(n, range(n))
+        assert lengths == [length] * 4
+
     @pytest.mark.parametrize("noise", ["rounding", "whole count"])
     def test_inexact_fft_falls_back_to_exact_counts(self, monkeypatch, noise):
         n = 257
