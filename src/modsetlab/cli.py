@@ -425,7 +425,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         handler = {"sample": cmd_sample, "sweep": cmd_sweep, "exact": cmd_exact,
                    "oracle": cmd_oracle, "graphs": cmd_graphs}[args.command]
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return status
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARAMETER
@@ -435,6 +437,10 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as e:
         print(f"assertion failed: {e}", file=sys.stderr)
         return EXIT_ASSERTION
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): what is left goes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (OSError, MemoryError) as e:
         print(f"resource limit: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -1,29 +1,27 @@
 """Exact closed-form counts and probabilities for missing sums and differences.
 
-Everything here is arbitrary-precision: probabilities are Fractions and the
-combinatorial counts are Python integers.  Floating point appears only in the
-log-domain gauge functions and in the regime targets, where the quantities are
-compared against Monte Carlo output.  _binomial(a, b) = 0 whenever b < 0,
-b > a, or a < 0, which makes every series below total without case splits.
-Each input has one check, here: `_as_probability` for p, and `_check_regime`
-for a decay regime's parameters, which sweeps and `theoretical_targets` share.
+Everything here is arbitrary-precision, and every exact value of the package,
+here and in `graphs` and `multiplicity`, follows one rule: `_weights` takes p
+apart as a/b with d = b - a, the value is one integer over a power b^e, and
+`_over_power` (a shift and a gcd with b alone, at any p) reduces it once, at
+the public return.  Floating point appears only in the log-domain gauge
+functions and in the regime targets, where the quantities are compared
+against Monte Carlo output.  _binomial(a, b) = 0 whenever b < 0, b > a, or
+a < 0, which makes every series below total without case splits.  Each input
+has one check, here: `_as_probability` for p, and `_check_regime` for a decay
+regime's parameters, which sweeps and `theoretical_targets` share.
 
 Every missing-target event is "A is independent in a pair graph" of
 loop-ended paths and cycles, and `independence_probability` weighs its
 component list: one Lucas-sequence value (`_lucas_u`) per distinct component,
-divided by b^n once (`_over_power`, a shift and a gcd with b alone, at any p).
-The named forms are the engine on their graph, save the composite form.
+over b^n.  The named forms are the engine on their graph, save the composite form.
 
 The Lucas values run to about 64 n bits, so every big product of the engine,
-and every power (`_pow`), goes through one kernel, `_mul`.  Below
-`_FFT_MIN_BITS`, or for an operand <= 0, it is x * y; above, one float
-rfft/irfft pair convolves the balanced 16-bit digits, at every size, and the
-rebuilt integer is returned only if it passes two checks: every coefficient
-within 1/4 of an integer (`_rounded`, the rule that `sets._pair_counts_fft`
-shares) and the product equal to x y modulo 2^61 - 1.  Otherwise the kernel
-returns x * y, so every value stays exact.  F(8002) takes 10 ms where
-Karatsuba took 26, and `prob_diff_missing` at n = 100003 0.56 s where it took
-3.2 (BENCH_20.json).
+and every power (`_pow`), goes through one kernel, `_mul`: above
+`_FFT_MIN_BITS`, a float FFT of the balanced 16-bit digits, returned only if
+it passes `_rounded` (the rule `sets._pair_counts_fft` shares) and a check
+modulo 2^61 - 1, else x * y.  F(8002) takes 10 ms where Karatsuba took 26,
+and `prob_diff_missing` at n = 100003 0.56 s where it took 3.2 (BENCH_20.json).
 """
 
 from __future__ import annotations
@@ -69,6 +67,13 @@ def _as_probability(p) -> Fraction:
     if not 0 <= f <= 1:
         raise ParameterError(f"p={p} outside [0, 1]")
     return f
+
+
+def _weights(p) -> tuple[int, int, int]:
+    """(a, b, d) for p = a/b in lowest terms and d = b - a: b times the weight of
+    an element in A and out of it, the one way an exact value takes p apart."""
+    f = _as_probability(p)
+    return f.numerator, f.denominator, f.denominator - f.numerator
 
 
 def _float_n(n: int) -> float:
@@ -306,8 +311,7 @@ def independence_probability(components, p) -> Fraction:
     doubling step forms alone; the product is divided by b^n once.  The empty
     set counts.  The named forms are this engine on their graph's components.
     """
-    p = _as_probability(p)
-    a, b, d = p.numerator, p.denominator, p.denominator - p.numerator
+    a, b, d = _weights(p)
     num, n = 1, 0
     for kind, m, loops, count in components:
         if count < 0 or not (kind == "path" and 0 <= loops <= min(m, 2)
@@ -422,8 +426,7 @@ def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
         raise ParameterError("k must be a nonzero residue")
     g = math.gcd(n, k)
     m = n // g
-    p = _as_probability(p)
-    a, b, d = p.numerator, p.denominator, p.denominator - p.numerator
+    a, b, d = _weights(p)
     return _over_power(_pow(_trace(a, d, m) - _pow(d, m), g), b, n)
 
 
@@ -488,7 +491,7 @@ def expected_missing_diffs(n: int, p) -> MissingDiffExpectation:
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    p = _as_probability(p)
+    a, b, d = _weights(p)
     classes = _proper_divisors_with_totient(n)  # none at n = 1, the coprime one at prime n
     value = classes[0][1] * prob_diff_missing(n, p) if classes else Fraction(0)
     if len(classes) <= 1:
@@ -496,7 +499,6 @@ def expected_missing_diffs(n: int, p) -> MissingDiffExpectation:
         if value > bound:
             raise AssertionError("E[D^c] - n(1-p)^n exceeded its series bound 2 n F(n)")
         return MissingDiffExpectation(value=value, bound=bound)
-    a, b, d = p.numerator, p.denominator, p.denominator - p.numerator
     empty = _pow(d, n)
     num = sum(phi * (_pow(_trace(a, d, n // g), g) - empty) for g, phi in classes[1:])
     num += value.numerator * (_pow(b, n) // value.denominator)

@@ -11,11 +11,11 @@ graph is one n-cycle; for composite n the difference graph splits into
 gcd(n, k) cycles of length n / gcd(n, k).
 
 The oracle weighs every one of the 2^n subsets by p^|A| (1-p)^(n-|A|) and is
-exact: subsets are tallied per cardinality as integers and the probability is
-assembled once at the end, so partial tallies can be merged in any order.  The
-event oracle enumerates all 2^n masks.  The moments oracle enumerates only the
-2^(n-1) sets that contain 0, or at prime n the 2^(n-2) that contain 0 and 1,
-and scales their counts back by translation or affine symmetry
+exact: subsets are tallied per cardinality as integers, so partial tallies can
+be merged in any order, and `_weigh` makes the tallies one integer over b^n.
+The event oracle enumerates all 2^n masks.  The moments oracle enumerates
+only the 2^(n-1) sets that contain 0, or at prime n the 2^(n-2) that contain
+0 and 1, and scales their counts back by translation or affine symmetry
 (`_oracle_tallies`).  Masks run through numpy as uint32 chunks of _CHUNK, so
 an event predicate ``event(mask, n)`` must accept a Python int or a uint32
 array and use only operators that work on both (&, |, <<, >>, ==; not `and`).
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .exact import _as_probability, _over_power, is_prime
+from .exact import _over_power, _weights, is_prime
 from .sets import _neg, _or_rotations, _rotl
 
 ORACLE_MAX_N = 22  # masks are uint32, so the cap must stay below 32
@@ -170,12 +170,9 @@ def _check_oracle_n(n: int) -> None:
         raise ResourceLimitError(f"enumeration oracle capped at n <= {ORACLE_MAX_N}, got {n}")
 
 
-def _weigh(counts, p: Fraction, n: int) -> Fraction:
-    """sum_c counts[c] p^c (1-p)^(n-c), formed as one integer over b^n."""
-    a, b = p.numerator, p.denominator
-    d = b - a
-    return _over_power(sum(int(t) * a ** c * d ** (n - c)
-                           for c, t in enumerate(counts) if t), b, n)
+def _weigh(counts, a: int, d: int, n: int) -> int:
+    """sum_c counts[c] a^c d^(n-c): b^n sum_c counts[c] p^c (1-p)^(n-c) for p = a/b."""
+    return sum(int(t) * a ** c * d ** (n - c) for c, t in enumerate(counts) if t)
 
 
 def oracle_event_probability(n: int, p, event: Callable,
@@ -188,11 +185,11 @@ def oracle_event_probability(n: int, p, event: Callable,
     ``include_empty_set=False`` drops A = empty from the event.
     """
     _check_oracle_n(n)
-    p = _as_probability(p)
+    a, b, d = _weights(p)
     counts = np.zeros(n + 1, dtype=np.int64)
     for masks in _mask_chunks(n, 0 if include_empty_set else 1):
         counts += np.bincount(_popcount(masks[event(masks, n)]), minlength=n + 1)
-    return _weigh(counts, p, n)
+    return _over_power(_weigh(counts, a, d, n), b, n)
 
 
 @dataclass(frozen=True)
@@ -252,15 +249,16 @@ def oracle_moments(n: int, p) -> OracleMoments:
 
     The p-free tallies of `_oracle_tallies`, which enumerates only the sets
     that contain 0 (at prime n, 0 and 1) and scales their counts back by
-    symmetry, are weighed once each.
+    symmetry, are weighed once each: with m1 and m2 the weights of S^c and
+    (S^c)^2 over b^n, E = m1 / b^n and Var = (b^n m2 - m1^2) / b^(2n).
     """
     _check_oracle_n(n)
-    p = _as_probability(p)
+    a, b, d = _weights(p)
     miss = np.arange(n + 1, dtype=np.int64)
 
     def moments(t):
-        mean = _weigh(t @ miss, p, n)
-        return mean, _weigh(t @ (miss * miss), p, n) - mean * mean
+        m1, m2 = _weigh(t @ miss, a, d, n), _weigh(t @ (miss * miss), a, d, n)
+        return _over_power(m1, b, n), _over_power(b ** n * m2 - m1 * m1, b, 2 * n)
 
     (e_sc, var_sc), (e_dc, var_dc) = map(moments, _oracle_tallies(n))
     return OracleMoments(E_Sc=e_sc, E_Dc=e_dc, Var_Sc=var_sc, Var_Dc=var_dc)

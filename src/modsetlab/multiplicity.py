@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .errors import ParameterError
-from .exact import _as_probability, _proper_divisors_with_totient
+from .exact import _over_power, _proper_divisors_with_totient, _weights
 from .sets import ResidueSet
 
 # Count a histogram by value while its maximum is at most this.  One
@@ -159,62 +159,55 @@ def expected_x_k_exact(n: int, p, k: int) -> Fraction:
 
     A sum s has disjoint representation slots: two-element pairs {a, b}
     (cost p^2 each) and self-slots 2a = s (cost p each).  A k-set of slots
-    with j self-slots costs p^(2k-j).  At odd n every s has (n-1)/2 pairs
-    and one self-slot; at even n an even s has (n-2)/2 pairs and two
-    self-slots (a and a + n/2), and an odd s has n/2 pairs and none.
+    with j self-slots costs p^(2k-j), a^(2k-j) b^j over b^(2k) for p = a/b.
+    At odd n every s has (n-1)/2 pairs and one self-slot; at even n an even s
+    has (n-2)/2 pairs and two self-slots (a and a + n/2), and an odd s has n/2
+    pairs and none.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    p = _as_probability(p)
+    a, b, _ = _weights(p)
 
-    def per_sum(self_slots: int, pairs: int) -> Fraction:
-        return sum(comb(self_slots, j) * comb(pairs, k - j) * p ** (2 * k - j)
+    def per_sum(self_slots: int, pairs: int) -> int:
+        return sum(comb(self_slots, j) * comb(pairs, k - j) * a ** (2 * k - j) * b ** j
                    for j in range(min(self_slots, k) + 1))
 
-    if n % 2:
-        return n * per_sum(1, (n - 1) // 2)
     half = n // 2
-    return half * (per_sum(2, half - 1) + per_sum(0, half))
+    num = n * per_sum(1, half) if n % 2 else half * (per_sum(2, half - 1) + per_sum(0, half))
+    return _over_power(num, b, 2 * k)
 
 
-def _cycle_choose_expectation(L: int, kk: int, p: Fraction) -> Fraction:
-    """E[C(m, kk)] where m counts present slots on one cycle of L slots.
+def _cycle_choose_expectation(L: int, kk: int, a: int, b: int) -> int:
+    """b^(2 kk) E[C(m, kk)], m the present slots on one cycle of L slots, p = a/b.
 
-    A kk-subset of cycle edges with j runs covers kk + j vertices; choosing
-    all L edges covers exactly L vertices.
+    The L C(kk-1, j-1) C(L-kk-1, j-1) / j kk-subsets of cycle edges with j
+    runs cover kk + j vertices each; choosing all L edges covers exactly L.
     """
     if kk == 0:
-        return Fraction(1)
+        return 1
     if kk > L:
-        return Fraction(0)
+        return 0
     if kk == L:
-        return p ** L
-    return sum((Fraction(L, j) * comb(kk - 1, j - 1) * comb(L - kk - 1, j - 1)
-                * p ** (kk + j) for j in range(1, kk + 1)), Fraction(0))
+        return (a * b) ** L
+    return sum(L * comb(kk - 1, j - 1) * comb(L - kk - 1, j - 1) // j
+               * a ** (kk + j) * b ** (kk - j) for j in range(1, kk + 1))
 
 
-def _poly_pow_trunc(poly: list[Fraction], e: int, k: int) -> list[Fraction]:
-    """poly**e truncated at degree k (polynomials as coefficient lists)."""
+def _poly_pow_trunc(poly: list[int], e: int, k: int) -> list[int]:
+    """poly**e truncated at degree k (polynomials as k + 1 coefficients)."""
 
-    def mul(a, b):
-        out = [Fraction(0)] * (k + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b[:k + 1 - i]):
-                    if bj:
-                        out[i + j] += ai * bj
-        return out
+    def mul(f, g):
+        return [sum(f[i] * g[j - i] for i in range(j + 1)) for j in range(k + 1)]
 
-    result = [Fraction(1)] + [Fraction(0)] * k
-    base = list(poly)
+    result = [1] + [0] * k
     while e:
         if e & 1:
-            result = mul(result, base)
+            result = mul(result, poly)
         e >>= 1
         if e:
-            base = mul(base, base)
+            poly = mul(poly, poly)
     return result
 
 
@@ -228,7 +221,9 @@ def expected_y_k_exact(n: int, p, k: int) -> Fraction:
     C(m_r, k) is a truncated convolution power of the one-cycle expectations
     E[C(m, k')] (a k'-subset of cycle edges with j runs covers k'+j
     elements).  That term depends on r only through d = gcd(n, r), so the
-    sum runs over the divisors d < n of n, phi(n/d) differences each.
+    sum runs over the divisors d < n of n, phi(n/d) differences each.  With
+    p = a/b, the degree-kk term of one cycle is over b^(2 kk), so every
+    degree-k term of a power is over b^(2k).
 
     For prime n the diagonal term C(n,k) p^k dominates everything else
     whenever n p^k is small, which is why Y_k for k >= 2 is *not*
@@ -238,11 +233,10 @@ def expected_y_k_exact(n: int, p, k: int) -> Fraction:
         raise ParameterError("k must be >= 1")
     if n < 2:
         raise ParameterError("n must be >= 2")
-    p = _as_probability(p)
-    total = comb(n, k) * p ** k
+    a, b, _ = _weights(p)
+    num = comb(n, k) * (a * b) ** k
     for d, mult in _proper_divisors_with_totient(n):
-        L = n // d
-        poly = [_cycle_choose_expectation(L, kk, p) for kk in range(k + 1)]
-        total += mult * _poly_pow_trunc(poly, d, k)[k]
-    return total
+        poly = [_cycle_choose_expectation(n // d, kk, a, b) for kk in range(k + 1)]
+        num += mult * _poly_pow_trunc(poly, d, k)[k]
+    return _over_power(num, b, 2 * k)
 

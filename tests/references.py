@@ -102,24 +102,50 @@ def independence_event_holds(A, g) -> bool:
 
 
 def expected_y_k_by_residue(n: int, p, k: int) -> Fraction:
-    """E[Y_k] with its nonzero differences r < n grouped by gcd(r, n) one r at a time.
+    """E[Y_k] = sum_r E[C(m_r, k)], the x^k coefficient of sum_r E[(1+x)^(m_r)],
+    with the nonzero differences r < n grouped by gcd(r, n) one r at a time.
 
-    The per-cycle expectations are the library's own helpers; this checks the
-    grouping, which the library does over the divisors of n.
+    r = 0 has one diagonal pair per element: (1 + p x)^n.  A nonzero r splits
+    its n slots (b + r, b) into g = gcd(n, r) cycles of L = n/g elements, a slot
+    present when both its elements are in A, and the g cycles share no element.
+    On one cycle E[(1+x)^m] is the trace V_L of T^L, T = [[q, p], [q, p (1+x)]]
+    (row and column: an element out of A, in A).  T has trace V_1 = 1 + p x and
+    determinant D = p q x, so V_{2j} = V_j^2 - 2 D^j, V_{2j+1} = V_j V_{j+1} -
+    D^j V_1 and V_{j+2} = V_1 V_{j+1} - D V_j.  Polynomials in x stop at x^k.
     """
-    from math import gcd
-
-    from modsetlab.multiplicity import _cycle_choose_expectation, _poly_pow_trunc
-
     p = Fraction(p)
-    total = comb(n, k) * p ** k
-    gcd_counts: dict[int, int] = {}
-    for r in range(1, n):
-        d = gcd(r, n)
-        gcd_counts[d] = gcd_counts.get(d, 0) + 1
-    for d, mult in gcd_counts.items():
-        poly = [_cycle_choose_expectation(n // d, kk, p) for kk in range(k + 1)]
-        total += mult * _poly_pow_trunc(poly, d, k)[k]
+    pq = p * (1 - p)
+    zero = [Fraction(0)] * (k + 1)
+    one, v1 = [Fraction(1)] + zero[1:], [Fraction(1), p] + zero[2:]
+
+    def mul(f, g):
+        return [sum((f[i] * g[j - i] for i in range(1, j + 1)), f[0] * g[j])
+                for j in range(k + 1)]
+
+    def minus_shifted(f, c, j, g):  # f - c x^j g
+        return [e - c * g[i - j] if i >= j else e for i, e in enumerate(f)] if j <= k else f
+
+    def power(f, e):
+        out = f
+        for bit in bin(e)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, f)
+        return out
+
+    def trace(L):
+        v, w, j = [Fraction(2)] + zero[1:], v1, 0  # (V_j, V_{j+1})
+        for bit in bin(L)[2:]:
+            dj = pq ** j if j <= k else 0
+            v, w, j = minus_shifted(mul(v, v), 2 * dj, j, one), \
+                minus_shifted(mul(v, w), dj, j, v1), 2 * j
+            if bit == "1":
+                v, w, j = w, minus_shifted(mul(v1, w), pq, 1, v), j + 1
+        return v
+
+    total = power(v1, n)[k]
+    for g, count in Counter(gcd(r, n) for r in range(1, n)).items():
+        total += count * power(trace(n // g), g)[k]
     return total
 
 

@@ -761,13 +761,17 @@ def _k_sets_sharing_a_value(mult, k):
     return sum(int(c) * math.comb(int(v), k) for v, c in zip(values, counts))
 
 
+def _python_env():
+    """The environment of a fresh interpreter on the package in src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _python(*args):
     """Run a fresh interpreter on the package in src/."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], env=_python_env(), capture_output=True,
+                          text=True, timeout=120)
 
 
 class TestProcess:
@@ -775,6 +779,16 @@ class TestProcess:
         proc = _python("-m", "modsetlab", "exact", "lucas", "--n", "10")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_cli(capsys, "exact", "lucas", "--n", "10")[1]
+
+    def test_closed_stdout_exits_0_quietly(self):
+        # a reader that stops at once, as `| head` may, is not a resource limit;
+        # with stdout block-buffered, the output must not fail at exit either
+        env = _python_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen([sys.executable, "-m", "modsetlab", "exact", "lucas", "--n", "10"],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            assert (proc.wait(timeout=120), proc.stderr.read()) == (0, b"")
 
     def test_import_graph_of_the_cli(self):
         # Sweep workers are forked from the process that imported the CLI, so

@@ -323,7 +323,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_moments_match_per_mask_reference(self, n):
-        for p in (Fraction(1, 3), dyadic64(n ** -0.5)):
+        # p = 0 and 1 have b = 1; 5/6 has a b with a factor of two and an odd one
+        for p in (Fraction(1, 3), dyadic64(n ** -0.5), Fraction(0), Fraction(1), Fraction(5, 6)):
             assert oracle_moments(n, p) == moments_reference(n, p)
 
     @pytest.mark.parametrize("n", range(1, 21))

@@ -403,7 +403,8 @@ class TestExpectations:
         n = 7
         assert expected_x_k_exact(n, Fraction(1), 1) == n * (n + 1) // 2
 
-    @pytest.mark.parametrize("n,p", [(9, Fraction(1, 3)), (11, Fraction(1, 2))])
+    @pytest.mark.parametrize("n,p", [(9, Fraction(1, 3)), (11, Fraction(1, 2)),
+                                     (10, Fraction(5, 6))])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exact_expectations_match_enumeration(self, n, p, k):
         def xk_stat(mask, nn):
@@ -434,7 +435,7 @@ class TestExpectations:
             return sum(comb(m, k) for m in m_sum.values())
 
         for n in (2, 4, 6, 8, 10):
-            for p in (Fraction(1, 3), Fraction(2, 5)):
+            for p in (Fraction(1, 3), Fraction(2, 5), Fraction(0), Fraction(1)):
                 assert expected_x_k_exact(n, p, k) == oracle_mean(n, p, xk_stat), (n, p)
 
     def test_exact_x_k_parameter_errors(self):
