@@ -69,6 +69,12 @@ def _as_probability(p) -> Fraction:
     return f
 
 
+def _check_difference(n: int, k: int) -> None:
+    """Reject a difference k = 0 mod n: each a - a = 0, so it has no pair graph."""
+    if k % n == 0:
+        raise ParameterError("k must be a nonzero residue")
+
+
 def _weights(p) -> tuple[int, int, int]:
     """(a, b, d) for p = a/b in lowest terms and d = b - a: b times the weight of
     an element in A and out of it, the one way an exact value takes p apart."""
@@ -422,8 +428,7 @@ def prob_diff_missing_composite(n: int, k: int, p) -> Fraction:
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
-    if k % n == 0:
-        raise ParameterError("k must be a nonzero residue")
+    _check_difference(n, k)
     g = math.gcd(n, k)
     m = n // g
     a, b, d = _weights(p)

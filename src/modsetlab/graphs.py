@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .exact import _over_power, _weights, is_prime
+from .exact import _check_difference, _over_power, _weights, is_prime
 from .sets import _neg, _or_rotations, _rotl
 
 ORACLE_MAX_N = 22  # masks are uint32, so the cap must stay below 32
@@ -92,8 +92,7 @@ def build_diff_graph(n: int, k: int) -> PairGraph:
     """Edges {a, a+k mod n} for all a; loops impossible since k != 0."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if k % n == 0:
-        raise ParameterError("k must be a nonzero residue")
+    _check_difference(n, k)
     return PairGraph(n, _normalize_edges((a, (a + k) % n) for a in range(n)))
 
 

@@ -60,7 +60,6 @@ _WORD_BITS = 64
 _FRAC_BITS = 64          # probabilities are realized on the k / 2**64 grid
 _ONE = 1 << _FRAC_BITS
 _BLOCK = 1 << 16         # entries per block of draws or pairs: 512 KB of 8-byte words
-_FFT_CROSSOVER = 4       # FFT pair counts once 4 |A|^2 > L log2 L; see _use_fft
 _MAX_MODULUS = sys.maxsize // 8  # the most int64 residues (8 bytes each) one array holds
 
 __all__ = [
@@ -347,17 +346,6 @@ def _mirror(m: np.ndarray, op) -> np.ndarray:
     return m
 
 
-def _unordered_sums(n: int, idx: np.ndarray, ordered_sum: np.ndarray) -> np.ndarray:
-    """Unordered sum multiplicities from ordered ones (the FFT's), in place.
-
-    Every {a, b} with a != b was counted twice and {a, a} once; np.add.at
-    counts a and a + n/2 (the same 2a at even n) both.
-    """
-    np.add.at(ordered_sum, (2 * idx) % n, 1)
-    ordered_sum //= 2
-    return ordered_sum
-
-
 def _pair_multiplicities(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m_sum, m_diff) by an exact count of each unordered pair once, in `_count_dtype(|A|)`.
 
@@ -377,31 +365,17 @@ def _pair_multiplicities(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return m_sum, m_diff
 
 
-def _fft_length(n: int) -> int:
-    """Smallest power of two >= 2n, the length at which `_use_fft`'s crossover
-    was measured.  `_pair_counts_fft` transforms at the shorter
-    `exact._fast_length(2n)`; the crossover keeps this cost until it is measured
-    again."""
-    return 1 << (2 * n - 1).bit_length()
-
-
 def _use_fft(c: int, n: int) -> bool:
     """Count the pairs of |A| = c in Z/nZ by FFT rather than by the pair count.
 
-    The pair count costs ~|A|^2 and the padded FFT ~L log2 L, with L the
-    power of two of `_fft_length`.  The threshold |A|^2 = L log2 L / 4 is
-    where the FFT broke even, for n from 2e3 to 1e6 (numpy 2.4, 2-vCPU Xeon
-    VM), at that length and with a pair count that was then a bincount into
-    int64.  Both sides have got faster since.  The narrow np.add.at count took
-    302 ms against the FFT's 321 ms at n = 1000003 and |A| = 6636, on the FFT
-    side of the threshold, while at n = 100003 and |A| = 2172 the FFT still
-    won (22 against 32 ms).  The FFT now runs at `exact._fast_length(2n)`, up
-    to 37.5% shorter than L.  The constant stays until a workload has sets
-    near it: critical sets (|A| ~ sqrt(n)) are far below it and dense ones
-    (|A| ~ n p) far above.
+    The FFT once c^2 > L log2 L, with L = `exact._fast_length(2n)`, the length
+    `_pair_counts_fft` transforms at: the pair count costs ~c^2 and the FFT
+    ~L log2 L.  Measured on random sets from n = 2003 to 1000003, the break-even
+    lies at c^2 / (L log2 L) between about 0.7 and 1.7, so this rule picks a
+    backend at most about 2x slower than the other (BENCH_31.json).
     """
-    L = _fft_length(n)
-    return _FFT_CROSSOVER * c * c > L * (L.bit_length() - 1)
+    L = _fast_length(2 * n)
+    return c * c > L * (L.bit_length() - 1)
 
 
 def _pair_counts_fft(A: ResidueSet) -> tuple[np.ndarray, np.ndarray] | None:
@@ -444,8 +418,12 @@ def _pair_counts_fft(A: ResidueSet) -> tuple[np.ndarray, np.ndarray] | None:
     del corr
     if (conv_exact and corr_exact and int(ordered_sum.sum()) == c * c
             and int(m_diff.sum()) == c * c and m_diff[0] == c):
+        # unordered sums: each {a, b} was counted twice, {a, a} once, and
+        # np.add.at counts a and a + n/2 (the same 2a at even n) both
+        np.add.at(ordered_sum, (2 * idx) % n, 1)
+        ordered_sum //= 2
         dtype = _count_dtype(c)
-        return _unordered_sums(n, idx, ordered_sum).astype(dtype), m_diff.astype(dtype)
+        return ordered_sum.astype(dtype), m_diff.astype(dtype)
     return None
 
 

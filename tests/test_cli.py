@@ -720,39 +720,45 @@ class TestSweepCommand:
             (1, "", "error: modulus n=1009 appears more than once\n")
 
     def test_critical_sweep_rows_do_not_depend_on_kmax(self, capsys, tmp_path):
-        # a critical sweep, spot-checked on trials 0 and 100:
-        # without --kmax the kernels scatter the pairs, with it they read the
-        # profile's pair counts, and the trial rows must not differ; the even
-        # modulus has the self-mirrored difference n/2
-        rows = []
-        report = tmp_path / "report.json"
-        for extra in ([], ["--kmax", "5", "--report", str(report)]):
-            out = tmp_path / f"trials{len(extra)}.csv"
-            code, _, _ = run_cli(capsys, "sweep", "--regime", "critical", "--c", "1",
-                                 "--n", "1009", "1024", "--trials", "101", "--workers", "2",
-                                 "--out", str(out), *extra)
-            assert code == 0
-            rows.append([line for line in out.read_text().splitlines()
-                         if not line.startswith("#")])
-        assert len(rows[0]) == 1 + 2 * 101
-        assert rows[0] == rows[1]
-        # the trial rows carry no x_k/y_k: check the report's means against a
-        # recount of every trial's pair multiplicities by brute force
-        data = json.loads(report.read_text())
-        seed = data["config"]["seed"]
-        for agg in data["aggregates"]:
-            n = agg["n"]
-            p = Fraction(data["config"]["p"][str(n)])
-            xk, yk = [], []
-            for t in range(101):
-                idx = sample_subset(SampleSpec(n=n, p=p, base_seed=seed, trial_index=t)).indices()
-                upper = np.triu_indices(idx.size)  # unordered sums, a = b allowed
-                m_sum = np.bincount(np.add.outer(idx, idx)[upper] % n, minlength=n)
-                m_diff = np.bincount(np.subtract.outer(idx, idx).ravel() % n, minlength=n)
-                xk.append([_k_sets_sharing_a_value(m_sum, k) for k in range(1, 6)])
-                yk.append([_k_sets_sharing_a_value(m_diff, k) for k in range(1, 6)])
-            assert agg["mean_xk"] == [float(Fraction(sum(col), 101)) for col in zip(*xk)]
-            assert agg["mean_yk"] == [float(Fraction(sum(col), 101)) for col in zip(*yk)]
+        # sweeps spot-checked on trials 0 and 100: without --kmax the kernels
+        # scatter the pairs, with it they read the profile's pair counts, and
+        # the trial rows must not differ; the even modulus has the
+        # self-mirrored difference n/2.  Critical and intermediate sets take
+        # the pair count (intermediate ones with |A|^2 between L log2 L / 4 and
+        # L log2 L, L the FFT length); p = 1/2 sets take the FFT, and their
+        # multiplicities pass `multiplicity._COUNT_BY_VALUE_MAX`
+        for regime in (["--regime", "critical", "--c", "1"],
+                       ["--regime", "intermediate", "--gamma", "1.2"], ["--p", "1/2"]):
+            rows = []
+            report = tmp_path / "report.json"
+            for extra in ([], ["--kmax", "5", "--report", str(report)]):
+                out = tmp_path / f"trials{len(extra)}.csv"
+                code, _, _ = run_cli(capsys, "sweep", *regime, "--n", "1009", "1024",
+                                     "--trials", "101", "--workers", "2",
+                                     "--out", str(out), *extra)
+                assert code == 0
+                rows.append([line for line in out.read_text().splitlines()
+                             if not line.startswith("#")])
+            assert len(rows[0]) == 1 + 2 * 101
+            assert rows[0] == rows[1], regime
+            # the trial rows carry no x_k/y_k: check the report's means against
+            # a recount of every trial's pair multiplicities by brute force
+            data = json.loads(report.read_text())
+            seed = data["config"]["seed"]
+            for agg in data["aggregates"]:
+                n = agg["n"]
+                p = Fraction(data["config"]["p"][str(n)])
+                xk, yk = [], []
+                for t in range(101):
+                    spec = SampleSpec(n=n, p=p, base_seed=seed, trial_index=t)
+                    idx = sample_subset(spec).indices()
+                    upper = np.triu_indices(idx.size)  # unordered sums, a = b allowed
+                    m_sum = np.bincount(np.add.outer(idx, idx)[upper] % n, minlength=n)
+                    m_diff = np.bincount(np.subtract.outer(idx, idx).ravel() % n, minlength=n)
+                    xk.append([_k_sets_sharing_a_value(m_sum, k) for k in range(1, 6)])
+                    yk.append([_k_sets_sharing_a_value(m_diff, k) for k in range(1, 6)])
+                assert agg["mean_xk"] == [float(Fraction(sum(col), 101)) for col in zip(*xk)]
+                assert agg["mean_yk"] == [float(Fraction(sum(col), 101)) for col in zip(*yk)]
 
 
 def _k_sets_sharing_a_value(mult, k):

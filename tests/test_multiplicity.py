@@ -4,12 +4,12 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
 
-from modsetlab import multiplicity, sets
+from modsetlab import exact, multiplicity, sets
 from modsetlab import (
     ParameterError,
     ResidueSet,
@@ -171,9 +171,15 @@ class TestBackends:
                     assert sum(t.size for t in blocks) == len(pairs)
 
     def test_backend_choice_follows_set_size(self):
-        # critical density |A| ~ c sqrt(n), c <= 3, stays on the bincount from
-        # n = 1e4 up; p = 1/2 goes to the FFT
-        for n in (10007, 100003, 1000003):
+        # the FFT once |A|^2 > L log2 L at the length L it transforms at, which
+        # for 10007, 20021 and 300007 is below the power of two >= 2n;
+        # critical density |A| ~ c sqrt(n), c <= 3, stays on the pair count
+        # from n = 1e4 up; p = 1/2 goes to the FFT
+        for n in (2003, 10007, 20021, 100003, 300007, 1000003):
+            L = exact._fast_length(2 * n)
+            c = isqrt(L * (L.bit_length() - 1))
+            assert not sets._use_fft(c, n)
+            assert sets._use_fft(c + 1, n)
             assert not sets._use_fft(int(3 * n ** 0.5), n)
             assert sets._use_fft(n // 2, n)
         assert not sets._use_fft(0, 1)

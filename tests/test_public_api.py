@@ -15,7 +15,7 @@ import modsetlab
 REMOVED = ("oracle_mean", "_f_series_reference", "independence_event_holds",
            "gauge_g_squared_exact", "expected_x_k", "xi_counts", "classify", "Classification",
            "binomial", "event_sum_missing", "_check_finite", "_diff_missing", "_sums_missing",
-           "_SPARSE_BLOCK", "_RECOUNT_BLOCK", "_run_trial")
+           "_SPARSE_BLOCK", "_RECOUNT_BLOCK", "_run_trial", "_fft_length", "_FFT_CROSSOVER")
 
 
 def test_public_surface():
@@ -44,5 +44,5 @@ def test_each_input_rule_is_written_once():
                     "intermediate regime needs", "must be finite, got",
                     "the two target sums must differ", "needs one or two target sums",
                     "cannot parse probability", "unknown kernel",
-                    "modulus must be >= 1", "outside [0, 1]"):
+                    "modulus must be >= 1", "outside [0, 1]", "must be a nonzero residue"):
         assert source.count(message) == 1, message
